@@ -187,18 +187,18 @@ inline Result<StreamDetection> StreamDetect(
   drift.cusum = cusum;
   stream::SegmentDriftDetector detector(drift);
   StreamDetection out;
-  std::vector<stream::StreamSegment> closed;
+  std::vector<compress::SegmentModel> closed;
   for (double v : series.values()) {
     closed.clear();
     if (Status s = (*made)->Append(v, &closed); !s.ok()) return s;
-    for (const stream::StreamSegment& seg : closed) {
+    for (const compress::SegmentModel& seg : closed) {
       detector.OnSegment(seg, &out.alarms);
     }
   }
   closed.clear();
   Result<std::vector<uint8_t>> blob = (*made)->Flush(&closed);
   if (!blob.ok()) return blob.status();
-  for (const stream::StreamSegment& seg : closed) {
+  for (const compress::SegmentModel& seg : closed) {
     detector.OnSegment(seg, &out.alarms);
   }
   if (Status s = detector.Finish(&out.alarms); !s.ok()) return s;

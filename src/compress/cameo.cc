@@ -8,14 +8,13 @@
 #include <vector>
 
 #include "compress/header.h"
+#include "compress/segment_model.h"
 #include "compress/serde.h"
 #include "features/acf.h"
 
 namespace lossyts::compress {
 
 namespace {
-
-constexpr size_t kMaxSegmentLength = 65535;
 
 // Reconstruction arithmetic shared by Compress's verification pass,
 // Compress's ACF refinement, and Decompress, so every side rounds

@@ -34,6 +34,10 @@ class ByteWriter {
   void PutBytes(const std::vector<uint8_t>& data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
+  /// Overwrites the u32 already written at byte `offset`.
+  void PatchU32(size_t offset, uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes_[offset + i] = (v >> (8 * i)) & 0xFF;
+  }
 
   size_t size() const { return bytes_.size(); }
   std::vector<uint8_t> Finish() { return std::move(bytes_); }

@@ -1,42 +1,9 @@
 #include "compress/swing.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <utility>
-
 #include "compress/header.h"
-#include "compress/serde.h"
+#include "compress/segment_model.h"
 
 namespace lossyts::compress {
-
-namespace {
-
-constexpr size_t kMaxSegmentLength = 65535;
-
-struct Segment {
-  uint16_t length;
-  double anchor;  // Exact first value of the segment.
-  double slope;   // Value change per index step.
-};
-
-// Unlike PMC's single mean (stored as f32 when safe, see pmc.cc), Swing's
-// coefficients stay f64: the slope is multiplied by the in-segment index, so
-// float rounding drifts linearly along the segment and would constantly
-// force costly re-verification fallbacks. This matches ModelarDB and is the
-// storage overhead the paper identifies as Swing's CR weakness (§4.2).
-
-// The one reconstruction expression, shared by Compress's verification pass
-// and Decompress so both sides round identically. The slope interval
-// intersection guarantees the bound only in exact arithmetic; the rounding
-// of slope*k can push a point just outside its allowance, and for exact
-// zeros (zero-width allowance) even a 1-ulp drift is a violation — so the
-// compressor must verify with precisely the decoder's arithmetic.
-double ReconstructPoint(double anchor, double slope, size_t k) {
-  return anchor + slope * static_cast<double>(k);
-}
-
-}  // namespace
 
 Result<std::vector<uint8_t>> SwingCompressor::Compress(
     const TimeSeries& series, double error_bound) const {
@@ -47,84 +14,24 @@ Result<std::vector<uint8_t>> SwingCompressor::Compress(
   if (Status s = CheckFiniteValues(series); !s.ok()) return s;
   if (Status s = CheckHeaderRepresentable(series); !s.ok()) return s;
 
-  std::vector<Segment> segments;
+  const BlobHeader header = MakeHeader(AlgorithmId::kSwing, series);
+  SegmentBlobWriter out;
+  out.Begin(header.algorithm, header.first_timestamp, header.interval_seconds);
   const std::vector<double>& v = series.values();
-
-  // Per-point slope interval history of the current segment: intervals[k-1]
-  // is the intersected feasible range after accepting in-segment offset k.
-  // Kept so that when verification shortens the segment, the slope for the
-  // shorter prefix is the midpoint of *its* interval, not the full one's.
-  std::vector<std::pair<double, double>> intervals;
-
+  SwingWindow window;
+  // Verify-shrink hands points back to the next segment, so the scan
+  // restarts at the first point the closed segment did not cover.
   size_t start = 0;
   while (start < v.size()) {
-    const double anchor = v[start];
-    double slope_lo = -std::numeric_limits<double>::infinity();
-    double slope_hi = std::numeric_limits<double>::infinity();
-    intervals.clear();
-
-    size_t i = start + 1;
-    for (; i < v.size(); ++i) {
-      const double step = static_cast<double>(i - start);
-      const Allowance a = RelativeAllowance(v[i], error_bound);
-      // Slope range that keeps the line inside this point's allowance.
-      const double cand_lo = (a.lo - anchor) / step;
-      const double cand_hi = (a.hi - anchor) / step;
-      const double new_lo = std::max(slope_lo, cand_lo);
-      const double new_hi = std::min(slope_hi, cand_hi);
-      if (!(new_lo <= new_hi) || (i - start) >= kMaxSegmentLength) break;
-      slope_lo = new_lo;
-      slope_hi = new_hi;
-      intervals.emplace_back(new_lo, new_hi);
+    window.Start(v[start]);
+    for (size_t i = start + 1; i < v.size() && window.Accept(v[i], error_bound);
+         ++i) {
     }
-
-    // Candidate segment [start, i). The interval intersection certifies the
-    // bound only for real arithmetic; verify the decoder's floating-point
-    // reconstruction and shrink to the longest conforming prefix. Offset 0
-    // reconstructs the anchor exactly, so the loop always terminates with
-    // len >= 1 and every emitted point provably inside its allowance.
-    size_t len = i - start;
-    double slope = 0.0;
-    while (true) {
-      // Mean of the upper and lower bounding slopes (ModelarDB variant).
-      slope = len > 1 ? 0.5 * (intervals[len - 2].first +
-                               intervals[len - 2].second)
-                      : 0.0;
-      // A non-finite slope (the interval endpoints can overflow to ±inf for
-      // values near DBL_MAX) poisons even offset 0 at decode time, because
-      // inf * 0 is NaN — so reject it outright rather than trusting the
-      // offset-0-is-exact shortcut. Likewise a reconstruction of ±inf can
-      // pass the allowance comparison when the allowance itself overflowed,
-      // but would make the output non-recompressible.
-      size_t bad = len;
-      if (len > 1 && !std::isfinite(slope)) bad = 1;
-      for (size_t k = 1; k < bad; ++k) {
-        const double rec = ReconstructPoint(anchor, slope, k);
-        const Allowance a = RelativeAllowance(v[start + k], error_bound);
-        if (!std::isfinite(rec) || !(rec >= a.lo && rec <= a.hi)) {
-          bad = k;
-          break;
-        }
-      }
-      if (bad == len) break;
-      len = bad;
-    }
-    segments.push_back({static_cast<uint16_t>(len), anchor, slope});
-    start += len;
+    const SegmentModel segment = window.Close(&v[start], error_bound);
+    out.Put(segment);
+    start += segment.length;
   }
-
-  ByteWriter writer;
-  WriteHeader(MakeHeader(AlgorithmId::kSwing, series), writer);
-  if (Status s = PutCountU32(writer, segments.size(), "Swing segment");
-      !s.ok()) {
-    return s;
-  }
-  for (const Segment& s : segments) {
-    writer.PutU16(s.length);
-    writer.PutDouble(s.anchor);
-    writer.PutDouble(s.slope);
-  }
-  return writer.Finish();
+  return out.Finish(header.num_points);
 }
 
 Result<TimeSeries> SwingCompressor::Decompress(
@@ -133,29 +40,17 @@ Result<TimeSeries> SwingCompressor::Decompress(
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kSwing);
   if (!header.ok()) return header.status();
 
-  Result<uint32_t> num_segments = reader.GetU32();
-  if (!num_segments.ok()) return num_segments.status();
-
   std::vector<double> values;
   values.reserve(SafeReserve(header->num_points));
-  for (uint32_t s = 0; s < *num_segments; ++s) {
-    Result<uint16_t> length = reader.GetU16();
-    if (!length.ok()) return length.status();
-    if (values.size() + *length > header->num_points) {
-      return Status::Corruption(
-          "Swing segment lengths overrun the point count");
-    }
-    Result<double> anchor = reader.GetDouble();
-    if (!anchor.ok()) return anchor.status();
-    Result<double> slope = reader.GetDouble();
-    if (!slope.ok()) return slope.status();
-    for (uint16_t k = 0; k < *length; ++k) {
-      values.push_back(ReconstructPoint(*anchor, *slope, k));
-    }
-  }
-  if (values.size() != header->num_points) {
-    return Status::Corruption(
-        "Swing segment lengths do not sum to point count");
+  if (Status s = ForEachSegment(reader, *header,
+                                [&](const SegmentModel& segment) {
+                                  for (uint32_t k = 0; k < segment.length;
+                                       ++k) {
+                                    values.push_back(segment.ValueAt(k));
+                                  }
+                                });
+      !s.ok()) {
+    return s;
   }
   return TimeSeries(header->first_timestamp, header->interval_seconds,
                     std::move(values));

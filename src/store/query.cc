@@ -33,23 +33,23 @@ Result<ChunkPartial> ComputeChunkPartial(const StoreReader& reader,
   partial.lossless = IsLosslessAlgorithm(chunk.algorithm);
 
   if (allow_pushdown && SupportsPushdown(chunk.algorithm)) {
-    Result<SegmentSet> set = ParseSegments(reader.ChunkPayload(index));
-    if (!set.ok()) return set.status();
+    Result<compress::BlobHeader> parsed = compress::ParseSegments(
+        reader.ChunkPayload(index), [&](const compress::SegmentModel& segment) {
+          const uint32_t seg_first = segment.start;
+          const uint32_t seg_last = segment.start + segment.length - 1;
+          if (seg_last < first || seg_first > last) return;
+          const uint32_t lo = std::max(first, seg_first) - segment.start;
+          const uint32_t hi = std::min(last, seg_last) - segment.start;
+          const SegmentAggregate agg = AggregateSegment(segment, lo, hi);
+          partial.sum += agg.sum;
+          partial.min = std::min(partial.min, agg.min);
+          partial.max = std::max(partial.max, agg.max);
+          partial.abs_sum += agg.abs_sum;
+          partial.max_abs = std::max(partial.max_abs, agg.max_abs);
+          partial.count += agg.count;
+        });
+    if (!parsed.ok()) return parsed.status();
     partial.pushdown = true;
-    for (const SegmentModel& segment : set->segments) {
-      const uint32_t seg_first = segment.start;
-      const uint32_t seg_last = segment.start + segment.length - 1;
-      if (seg_last < first || seg_first > last) continue;
-      const uint32_t lo = std::max(first, seg_first) - segment.start;
-      const uint32_t hi = std::min(last, seg_last) - segment.start;
-      const SegmentAggregate agg = AggregateSegment(segment, lo, hi);
-      partial.sum += agg.sum;
-      partial.min = std::min(partial.min, agg.min);
-      partial.max = std::max(partial.max, agg.max);
-      partial.abs_sum += agg.abs_sum;
-      partial.max_abs = std::max(partial.max_abs, agg.max_abs);
-      partial.count += agg.count;
-    }
     if (partial.count != static_cast<uint64_t>(last) - first + 1) {
       return Status::Corruption("chunk segments do not cover the selection");
     }

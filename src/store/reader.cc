@@ -8,9 +8,9 @@
 #include "compress/gorilla.h"
 #include "compress/header.h"
 #include "compress/pipeline.h"
+#include "compress/segment_model.h"
 #include "compress/serde.h"
 #include "core/thread_pool.h"
-#include "store/segments.h"
 #include "zip/crc32.h"
 
 namespace lossyts::store {
@@ -381,14 +381,18 @@ Result<double> StoreReader::ReadPoint(int64_t timestamp) const {
     case compress::AlgorithmId::kPmc:
     case compress::AlgorithmId::kSwing: {
       // Model chunks: walk the segment list, no point materialization.
-      Result<SegmentSet> set = ParseSegments(ChunkPayload(chunk_index));
-      if (!set.ok()) return set.status();
-      for (const SegmentModel& segment : set->segments) {
-        if (k < static_cast<size_t>(segment.start) + segment.length) {
-          return SegmentValueAt(segment, k - segment.start);
-        }
+      double value = 0.0;
+      Result<compress::BlobHeader> parsed = compress::ParseSegments(
+          ChunkPayload(chunk_index), [&](const compress::SegmentModel& s) {
+            if (k >= s.start && k < static_cast<size_t>(s.start) + s.length) {
+              value = s.ValueAt(k - s.start);
+            }
+          });
+      if (!parsed.ok()) return parsed.status();
+      if (k >= parsed->num_points) {
+        return Status::Corruption("chunk segments do not cover the point");
       }
-      return Status::Corruption("chunk segments do not cover the point");
+      return value;
     }
     case compress::AlgorithmId::kGorilla: {
       Result<TimeSeries> prefix =

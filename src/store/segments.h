@@ -2,42 +2,10 @@
 #define LOSSYTS_STORE_SEGMENTS_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "compress/header.h"
-#include "core/status.h"
+#include "compress/segment_model.h"
 
 namespace lossyts::store {
-
-/// One explicit model segment lifted out of a PMC-Mean or Swing blob. Both
-/// codecs reduce to the same linear form v̂(k) = anchor + slope·k over the
-/// segment's local offsets (PMC is the slope = 0 special case), which is what
-/// lets the query layer share one pushdown implementation.
-struct SegmentModel {
-  uint32_t start = 0;   ///< In-chunk offset of the segment's first point.
-  uint32_t length = 0;  ///< Point count (>= 1 after a successful parse).
-  double anchor = 0.0;  ///< PMC mean, or Swing's exact first value.
-  double slope = 0.0;   ///< Value change per index step; 0 for PMC.
-};
-
-/// A chunk's blob header plus its segment list.
-struct SegmentSet {
-  compress::BlobHeader header;
-  std::vector<SegmentModel> segments;
-};
-
-/// Parses a PMC or Swing blob into explicit segments without materializing
-/// any points — the basis of both pushdown aggregation and early-stop point
-/// reads on model chunks. Applies the same count/overrun guards as the full
-/// decoders; Corruption for malformed blobs or other algorithms.
-Result<SegmentSet> ParseSegments(const std::vector<uint8_t>& blob);
-
-/// Reconstructs the segment's k-th local point with exactly the decoder's
-/// arithmetic (swing.cc ReconstructPoint; exact for PMC since slope is 0),
-/// so a pushdown point read is bit-identical to a full decode.
-inline double SegmentValueAt(const SegmentModel& s, size_t k) {
-  return s.anchor + s.slope * static_cast<double>(k);
-}
 
 /// Closed-form aggregate of a segment restricted to local offsets
 /// [first, last], both inclusive and both < length.
@@ -53,8 +21,8 @@ struct SegmentAggregate {
   uint64_t count = 0;
 };
 
-SegmentAggregate AggregateSegment(const SegmentModel& s, uint32_t first,
-                                  uint32_t last);
+SegmentAggregate AggregateSegment(const compress::SegmentModel& s,
+                                  uint32_t first, uint32_t last);
 
 }  // namespace lossyts::store
 

@@ -139,7 +139,7 @@ SegmentDriftDetector::SegmentDriftDetector(const SegmentDriftOptions& options)
       cusum_(options.cusum),
       page_hinkley_(options.page_hinkley) {}
 
-void SegmentDriftDetector::OnSegment(const StreamSegment& segment,
+void SegmentDriftDetector::OnSegment(const compress::SegmentModel& segment,
                                      std::vector<size_t>* alarms) {
   switch (options_.mode) {
     case SegmentDriftOptions::Mode::kPointCusum:
@@ -151,12 +151,10 @@ void SegmentDriftDetector::OnSegment(const StreamSegment& segment,
     case SegmentDriftOptions::Mode::kSegmentSlopePh: {
       const double stat =
           options_.mode == SegmentDriftOptions::Mode::kSegmentLevelPh
-              ? segment.anchor +
-                    segment.slope *
-                        (static_cast<double>(segment.length - 1) * 0.5)
+              ? segment.MeanLevel()
               : segment.slope;
       if (page_hinkley_.Update(stat) && alarms != nullptr) {
-        alarms->push_back(static_cast<size_t>(segment.start_index) +
+        alarms->push_back(static_cast<size_t>(segment.start) +
                           segment.length - 1);
       }
       break;

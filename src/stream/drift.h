@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "analysis/change_detection.h"
+#include "compress/segment_model.h"
 #include "core/status.h"
-#include "stream/streaming_compressor.h"
 
 namespace lossyts::stream {
 
@@ -125,7 +125,8 @@ class SegmentDriftDetector {
 
   /// Consumes one closed segment; appends the *point indices* of any alarms
   /// (for the segment modes, the index of the segment's last point).
-  void OnSegment(const StreamSegment& segment, std::vector<size_t>* alarms);
+  void OnSegment(const compress::SegmentModel& segment,
+                 std::vector<size_t>* alarms);
 
   /// Flushes the point-level detector at end of stream (no-op for the
   /// segment modes).

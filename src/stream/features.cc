@@ -11,18 +11,18 @@ SegmentFeatureTracker::SegmentFeatureTracker(size_t segment_window,
     : segment_window_(std::max<size_t>(segment_window, 1)),
       value_window_(std::max<size_t>(value_window, 1)) {}
 
-SegmentFeatures SegmentFeatureTracker::Extract(const StreamSegment& segment) {
+SegmentFeatures SegmentFeatureTracker::Extract(
+    const compress::SegmentModel& segment) {
   SegmentFeatures f;
-  f.start_index = segment.start_index;
+  f.start_index = segment.start;
   f.length = segment.length;
-  // Mean of anchor + slope*k over k = 0..len-1: the midpoint level.
-  f.level = segment.anchor +
-            segment.slope * (static_cast<double>(segment.length - 1) * 0.5);
+  f.level = segment.MeanLevel();
   f.slope = segment.slope;
   return f;
 }
 
-void SegmentFeatureTracker::OnSegment(const StreamSegment& segment) {
+void SegmentFeatureTracker::OnSegment(
+    const compress::SegmentModel& segment) {
   segments_.push_back(Extract(segment));
   while (segments_.size() > segment_window_) segments_.pop_front();
   for (size_t k = 0; k < segment.length; ++k) {

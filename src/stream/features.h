@@ -6,8 +6,8 @@
 #include <deque>
 #include <vector>
 
+#include "compress/segment_model.h"
 #include "core/status.h"
-#include "stream/streaming_compressor.h"
 
 namespace lossyts::stream {
 
@@ -45,10 +45,10 @@ class SegmentFeatureTracker {
   SegmentFeatureTracker(size_t segment_window, size_t value_window);
 
   /// Consumes one closed segment.
-  void OnSegment(const StreamSegment& segment);
+  void OnSegment(const compress::SegmentModel& segment);
 
   /// Features of `segment` alone (also what OnSegment records).
-  static SegmentFeatures Extract(const StreamSegment& segment);
+  static SegmentFeatures Extract(const compress::SegmentModel& segment);
 
   FeatureSummary Summary() const;
 

@@ -108,8 +108,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
     const size_t begin = end - train_len;
     std::vector<double> train_values;
     train_values.reserve(train_len);
-    const StreamingCompressor::OpenWindowModel prov =
-        (*compressor)->Provisional();
+    const compress::SegmentModel prov = (*compressor)->Provisional();
     for (size_t k = begin; k < end; ++k) {
       train_values.push_back(k < recon.size()
                                  ? recon[k]
@@ -132,7 +131,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
   double adapt_target = 0.0;
   size_t pending_retrain = 0;  // Index into result.retrains.
 
-  std::vector<StreamSegment> closed;
+  std::vector<compress::SegmentModel> closed;
   std::vector<size_t> alarms_now;
 
   for (size_t i = 0; i < v.size(); ++i) {
@@ -140,8 +139,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
     // sees it. The input window is the last input_length model-visible
     // values — closed reconstruction plus the provisional open window.
     if (model != nullptr && i >= input_length) {
-      const StreamingCompressor::OpenWindowModel prov =
-          (*compressor)->Provisional();
+      const compress::SegmentModel prov = (*compressor)->Provisional();
       for (size_t k = i - input_length; k < i; ++k) {
         window[k - (i - input_length)] =
             k < recon.size() ? recon[k] : prov.ValueAt(k - recon.size());
@@ -166,7 +164,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
     closed.clear();
     alarms_now.clear();
     if (Status s = (*compressor)->Append(v[i], &closed); !s.ok()) return s;
-    for (const StreamSegment& segment : closed) {
+    for (const compress::SegmentModel& segment : closed) {
       detector.OnSegment(segment, &alarms_now);
       tracker.OnSegment(segment);
       for (size_t k = 0; k < segment.length; ++k) {
@@ -207,7 +205,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
   alarms_now.clear();
   Result<std::vector<uint8_t>> blob = (*compressor)->Flush(&closed);
   if (!blob.ok()) return blob.status();
-  for (const StreamSegment& segment : closed) {
+  for (const compress::SegmentModel& segment : closed) {
     detector.OnSegment(segment, &alarms_now);
     tracker.OnSegment(segment);
   }

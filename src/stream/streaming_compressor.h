@@ -2,42 +2,29 @@
 #define LOSSYTS_STREAM_STREAMING_COMPRESSOR_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "compress/segment_model.h"
 #include "core/status.h"
 
 namespace lossyts::stream {
 
-/// One closed segment emitted by a StreamingCompressor, carrying both the
-/// decoded model (so consumers can reconstruct covered points without ever
-/// touching blob bytes) and the exact wire encoding of the segment.
-///
-/// `anchor`/`slope` are the *decoder's* coefficients: for PMC the anchor is
-/// the stored mean after the optional f32 rounding, for Swing the stored
-/// anchor/slope pair. `ValueAt(k)` therefore reproduces batch Decompress
-/// bit-for-bit, which the conform stream oracle checks.
-struct StreamSegment {
-  uint64_t start_index = 0;  ///< Offset of the first covered point.
-  uint32_t length = 0;       ///< Points covered (1..65535).
-  double anchor = 0.0;       ///< Decoded level at in-segment offset 0.
-  double slope = 0.0;        ///< Decoded per-step delta (always 0 for PMC).
-  std::vector<uint8_t> encoded;  ///< Exact wire bytes of this segment.
-
-  /// Reconstructed value at in-segment offset `k`, using precisely the
-  /// decoder's arithmetic (swing.cc's ReconstructPoint; PMC has slope 0).
-  double ValueAt(size_t k) const {
-    return anchor + slope * static_cast<double>(k);
-  }
-};
-
-/// Incremental counterpart of compress::Compressor for the segment codecs
-/// (PMC, Swing): accepts one point at a time, emits segments as they close,
-/// and finalizes with a blob that is byte-identical to what the batch
+/// Incremental driver of the PMC/Swing segment core (compress/
+/// segment_model.h): accepts one point at a time, emits segments as they
+/// close, and finalizes with a blob that is byte-identical to what the batch
 /// `Compress()` of the same accepted points would have produced — the
 /// contract the conform harness enforces over its full corpus × bound grid.
+/// Batch Compress drives the same per-point steps from a loop over the
+/// series; this class keeps their state as members instead.
+///
+/// Closed segments are handed out as compress::SegmentModel with `start` set
+/// to the stream offset of their first point; `ValueAt(k)` reproduces batch
+/// Decompress bit-for-bit (for PMC the anchor is the stored, possibly
+/// f32-rounded mean).
 ///
 /// Lifecycle: Open() → Append()* → Flush(). Open validates like batch
 /// Compress (error bound in (0,1), header-representable metadata) and may be
@@ -54,10 +41,8 @@ struct StreamSegment {
 /// Not thread-safe; one instance per series per thread.
 class StreamingCompressor {
  public:
-  virtual ~StreamingCompressor() = default;
-
   /// Codec identifier, matching the batch compressor ("PMC", "SWING").
-  virtual std::string_view name() const = 0;
+  std::string_view name() const;
 
   /// Starts (or restarts) a stream. Validation mirrors batch Compress:
   /// `error_bound` must be in (0, 1), `start_timestamp` must fit the i32
@@ -69,30 +54,23 @@ class StreamingCompressor {
   /// it is non-null (Swing's verify-shrink can cascade, so a single point
   /// may close several). Non-finite values are rejected with InvalidArgument
   /// and leave the stream state untouched.
-  Status Append(double value, std::vector<StreamSegment>* closed = nullptr);
+  Status Append(double value,
+                std::vector<compress::SegmentModel>* closed = nullptr);
 
   /// Closes the open segment(s), appending them to `*closed` when non-null,
   /// and returns the complete blob: byte-identical to batch Compress() of
   /// every accepted point. The stream is finalized afterwards; call Open()
   /// to start a new one. Fails on an empty stream.
   Result<std::vector<uint8_t>> Flush(
-      std::vector<StreamSegment>* closed = nullptr);
+      std::vector<compress::SegmentModel>* closed = nullptr);
 
-  /// Linear model of the still-open window as if it closed now: value at
-  /// in-window offset k is `anchor + slope * k`, for k in [0, length).
-  /// Provisional only — the coefficients may still change (PMC's f32
-  /// rounding happens at close; Swing's slope is the current interval
-  /// midpoint before verification) — but deterministic and causal, which is
-  /// what the prequential loop needs for model inputs. O(1).
-  struct OpenWindowModel {
-    uint64_t length = 0;
-    double anchor = 0.0;
-    double slope = 0.0;
-    double ValueAt(size_t k) const {
-      return anchor + slope * static_cast<double>(k);
-    }
-  };
-  virtual OpenWindowModel Provisional() const = 0;
+  /// Model of the still-open window as if it closed now, covering its
+  /// `length` points from `start` = closed_points(). Provisional only — the
+  /// coefficients may still change (PMC's f32 rounding happens at close;
+  /// Swing's slope is the current interval midpoint before verification) —
+  /// but deterministic and causal, which is what the prequential loop needs
+  /// for model inputs. O(1).
+  compress::SegmentModel Provisional() const;
 
   /// Convenience: appends the provisional reconstruction of the open window
   /// to `*out` (O(open window)).
@@ -105,53 +83,52 @@ class StreamingCompressor {
   /// Points still in the open window: points() - closed_points().
   uint64_t open_length() const { return points_ - closed_points_; }
   /// Closed segments emitted so far.
-  uint64_t segments() const { return segments_; }
+  uint64_t segments() const { return writer_.segments(); }
   double error_bound() const { return error_bound_; }
   bool is_open() const { return open_; }
 
- protected:
-  /// Codec-specific state reset on Open.
-  virtual void Reset() = 0;
-  /// Codec-specific Append; the value is already known finite.
-  virtual void DoAppend(double value, std::vector<StreamSegment>* closed) = 0;
-  /// Codec-specific close of the remaining open window at Flush.
-  virtual void DoClose(std::vector<StreamSegment>* closed) = 0;
-  /// Header algorithm byte.
-  virtual uint8_t algorithm_id() const = 0;
-  /// Wire name for the segment-count overflow message ("PMC segment", ...).
-  virtual const char* count_label() const = 0;
-
-  /// Wire-encoding of the segment being closed goes through these little-
-  /// endian scratch appenders (bit-compatible with compress::ByteWriter) and
-  /// lands with EmitScratch. The scratch buffer is reused across closes, so
-  /// a warm stream performs no per-segment heap allocation — segment closes
-  /// are on the ingest fast path and batch Compress pays only a POD push.
-  void ScratchU8(uint8_t v) { scratch_.push_back(v); }
-  void ScratchU16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) scratch_.push_back((v >> (8 * i)) & 0xFF);
-  }
-  void ScratchU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) scratch_.push_back((v >> (8 * i)) & 0xFF);
-  }
-  void ScratchDouble(double v);
-
-  /// Closes one segment: appends the scratch bytes to the payload, stamps
-  /// and hands a StreamSegment to `closed` when non-null (the encoded copy
-  /// is made only then), advances the counters, and clears the scratch.
-  void EmitScratch(uint32_t length, double anchor, double slope,
-                   std::vector<StreamSegment>* closed);
-
-  double error_bound_ = 0.0;
-
  private:
+  friend Result<std::unique_ptr<StreamingCompressor>> MakeStreamingCompressor(
+      const std::string& name);
+  explicit StreamingCompressor(compress::AlgorithmId algorithm)
+      : algorithm_(algorithm) {}
+
+  // Append's own frame holds no stack objects, so a PMC point that joins
+  // the window costs no per-call stack setup (which sanitizer builds make
+  // expensive): errors, closes and the Swing path live out of line.
+
+  /// The error for a point Append refuses.
+  [[gnu::noinline]] Status Reject(double value) const;
+  /// PMC: emits the window `value` broke and restarts it on `value`.
+  [[gnu::noinline]] void ClosePmc(double value,
+                                  std::vector<compress::SegmentModel>* closed);
+  /// Swing's per-point step.
+  [[gnu::noinline]] void AppendSwing(
+      double value, std::vector<compress::SegmentModel>* closed);
+  /// Swing: anchors a new candidate on `value`; requires buffer_ empty.
+  void StartSwing(double value);
+  /// Swing: extends the candidate with `value`; false when it breaks it.
+  bool AcceptSwing(double value);
+  /// Swing: verify-shrinks and emits the candidate, pushing the points it
+  /// did not cover back to the *front* of pending_ — the order in which the
+  /// batch driver's restarted scan revisits them.
+  void CloseSwing(std::vector<compress::SegmentModel>* closed);
+  /// Swing: (re-)feeds pending_ through the candidate.
+  void DrainSwing(std::vector<compress::SegmentModel>* closed);
+  /// Writes one closed segment, stamping its start offset.
+  void Emit(compress::SegmentModel segment,
+            std::vector<compress::SegmentModel>* closed);
+
+  compress::AlgorithmId algorithm_;
   bool open_ = false;
-  int64_t start_timestamp_ = 0;
-  int32_t interval_seconds_ = 0;
+  double error_bound_ = 0.0;
   uint64_t points_ = 0;
   uint64_t closed_points_ = 0;
-  uint64_t segments_ = 0;
-  std::vector<uint8_t> payload_;  ///< Encoded segments closed so far.
-  std::vector<uint8_t> scratch_;  ///< Reusable wire buffer for one segment.
+  compress::SegmentBlobWriter writer_;
+  compress::PmcWindow pmc_;
+  compress::SwingWindow swing_;
+  std::vector<double> buffer_;  ///< Swing candidate values; [0] is the anchor.
+  std::deque<double> pending_;  ///< Swing points awaiting (re-)acceptance.
 };
 
 /// Codecs with a streaming implementation, a subset of

@@ -205,15 +205,19 @@ TEST(SegmentDriftDetectorTest, PointCusumEqualsOfflineOnDecompressed) {
     SegmentDriftOptions drift;  // kPointCusum default.
     SegmentDriftDetector detector(drift);
     std::vector<size_t> alarms;
-    std::vector<StreamSegment> segments;
+    std::vector<compress::SegmentModel> segments;
     for (double v : raw) {
       segments.clear();
       ASSERT_TRUE((*sc)->Append(v, &segments).ok());
-      for (const StreamSegment& s : segments) detector.OnSegment(s, &alarms);
+      for (const compress::SegmentModel& s : segments) {
+        detector.OnSegment(s, &alarms);
+      }
     }
     segments.clear();
     ASSERT_TRUE((*sc)->Flush(&segments).ok());
-    for (const StreamSegment& s : segments) detector.OnSegment(s, &alarms);
+    for (const compress::SegmentModel& s : segments) {
+      detector.OnSegment(s, &alarms);
+    }
     ASSERT_TRUE(detector.Finish(&alarms).ok());
     EXPECT_EQ(alarms, *offline) << codec;
   }
@@ -229,8 +233,8 @@ TEST(SegmentDriftDetectorTest, SegmentModesAlarmOnLevelShift) {
   // 30 segments at level 10, then 30 at level 40.
   uint64_t start = 0;
   for (int s = 0; s < 60; ++s) {
-    StreamSegment segment;
-    segment.start_index = start;
+    compress::SegmentModel segment;
+    segment.start = static_cast<uint32_t>(start);
     segment.length = 20;
     segment.anchor = s < 30 ? 10.0 : 40.0;
     segment.slope = 0.0;

@@ -12,10 +12,10 @@
 namespace lossyts::stream {
 namespace {
 
-StreamSegment MakeSegment(uint64_t start, uint32_t length, double anchor,
-                          double slope) {
-  StreamSegment s;
-  s.start_index = start;
+compress::SegmentModel MakeSegment(uint64_t start, uint32_t length,
+                                   double anchor, double slope) {
+  compress::SegmentModel s;
+  s.start = static_cast<uint32_t>(start);
   s.length = length;
   s.anchor = anchor;
   s.slope = slope;
@@ -75,7 +75,7 @@ TEST(SegmentFeatureTrackerTest, RollingAcfMatchesBatchAcf) {
   for (int s = 0; s < 40; ++s) {
     const double anchor = 10.0 + 3.0 * rng.Normal();
     const double slope = 0.2 * rng.Normal();
-    StreamSegment segment = MakeSegment(start, 6, anchor, slope);
+    compress::SegmentModel segment = MakeSegment(start, 6, anchor, slope);
     start += segment.length;
     tracker.OnSegment(segment);
     for (size_t k = 0; k < segment.length; ++k) {

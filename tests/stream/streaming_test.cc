@@ -36,9 +36,9 @@ std::vector<uint8_t> BatchBlob(const std::string& codec, const TimeSeries& ts,
   return *blob;
 }
 
-std::vector<uint8_t> StreamBlob(const std::string& codec, const TimeSeries& ts,
-                                double eb,
-                                std::vector<StreamSegment>* segments = nullptr) {
+std::vector<uint8_t> StreamBlob(
+    const std::string& codec, const TimeSeries& ts, double eb,
+    std::vector<compress::SegmentModel>* segments = nullptr) {
   Result<std::unique_ptr<StreamingCompressor>> sc =
       MakeStreamingCompressor(codec);
   EXPECT_TRUE(sc.ok());
@@ -110,11 +110,11 @@ TEST(StreamingCompressorTest, EveryPrefixMatchesBatch) {
 TEST(StreamingCompressorTest, LengthOneSeries) {
   TimeSeries ts(0, 60, std::vector<double>{42.5});
   for (const std::string codec : {"PMC", "SWING"}) {
-    std::vector<StreamSegment> segments;
+    std::vector<compress::SegmentModel> segments;
     EXPECT_EQ(StreamBlob(codec, ts, 0.05, &segments),
               BatchBlob(codec, ts, 0.05));
     ASSERT_EQ(segments.size(), 1u) << codec;
-    EXPECT_EQ(segments[0].start_index, 0u);
+    EXPECT_EQ(segments[0].start, 0u);
     EXPECT_EQ(segments[0].length, 1u);
   }
 }
@@ -122,12 +122,12 @@ TEST(StreamingCompressorTest, LengthOneSeries) {
 TEST(StreamingCompressorTest, SegmentsTileAndReconstruct) {
   TimeSeries ts = NoisySine(1500, 29);
   for (const std::string codec : {"PMC", "SWING"}) {
-    std::vector<StreamSegment> segments;
+    std::vector<compress::SegmentModel> segments;
     const std::vector<uint8_t> blob = StreamBlob(codec, ts, 0.1, &segments);
 
     uint64_t covered = 0;
-    for (const StreamSegment& s : segments) {
-      EXPECT_EQ(s.start_index, covered);
+    for (const compress::SegmentModel& s : segments) {
+      EXPECT_EQ(s.start, covered);
       EXPECT_GT(s.length, 0u);
       covered += s.length;
     }
@@ -138,9 +138,9 @@ TEST(StreamingCompressorTest, SegmentsTileAndReconstruct) {
     ASSERT_TRUE(batch.ok());
     Result<TimeSeries> decoded = (*batch)->Decompress(blob);
     ASSERT_TRUE(decoded.ok());
-    for (const StreamSegment& s : segments) {
+    for (const compress::SegmentModel& s : segments) {
       for (size_t k = 0; k < s.length; ++k) {
-        const size_t i = static_cast<size_t>(s.start_index) + k;
+        const size_t i = static_cast<size_t>(s.start) + k;
         const double rec = s.ValueAt(k);
         const double dec = (*decoded)[i];
         uint64_t a;
@@ -226,7 +226,7 @@ TEST(StreamingCompressorTest, ProvisionalTracksOpenWindow) {
     ASSERT_TRUE((*sc)->Open(0, 60, 0.05).ok());
     for (int i = 0; i < 100; ++i) ASSERT_TRUE((*sc)->Append(7.0).ok());
     EXPECT_EQ((*sc)->closed_points(), 0u);
-    const StreamingCompressor::OpenWindowModel prov = (*sc)->Provisional();
+    const compress::SegmentModel prov = (*sc)->Provisional();
     ASSERT_EQ(prov.length, 100u);
     for (uint64_t k = 0; k < prov.length; ++k) {
       EXPECT_NEAR(prov.ValueAt(k), 7.0, 0.05 * 7.0) << codec << " k=" << k;

@@ -4,6 +4,8 @@
 // DEFLATE implementation is RFC 1951/1952 conformant. Skipped when no gzip
 // binary is available.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,7 +48,11 @@ class GzipInteropTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!HaveSystemGzip()) GTEST_SKIP() << "no system gzip available";
-    base_ = ::testing::TempDir() + "/lossyts_interop";
+    // ctest runs each test in its own process, in parallel: a per-test,
+    // per-process file name keeps them from overwriting each other's files.
+    base_ = ::testing::TempDir() + "/lossyts_interop_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid());
   }
   void TearDown() override {
     std::remove((base_ + ".bin").c_str());

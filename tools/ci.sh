@@ -286,10 +286,11 @@ ASAN_OPTIONS=detect_leaks=0 run_config asan address
 UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
 # reporter, the artifact store, the parallel-vs-sequential grid tests, and
-# the serve-daemon/store reader-vs-writer races exercise every cross-thread
+# the serve-daemon/store reader-vs-writer races and the per-series stream
+# state that shards advance under their mutex exercise every cross-thread
 # edge, and a full TSan run of the NN training tests would dominate CI time
 # without touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest'
+  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest'
 
 echo "=== ci.sh: all configurations passed ==="
