@@ -12,6 +12,7 @@
 //   PMC:   a u8 width flag (kF32/kF64), then the mean as f32 or f64;
 //   Swing: the f64 anchor, then the f64 slope per index step.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -63,13 +64,6 @@ struct SegmentModel {
   }
 };
 
-/// std::max/std::min with the same results (NaN operand order included)
-/// but taking no references, so the per-point steps below keep their
-/// operands in registers; a referenced local becomes a stack object that
-/// sanitizer builds set up and tear down on every streamed point.
-inline double MaxOf(double a, double b) { return a < b ? b : a; }
-inline double MinOf(double a, double b) { return b < a ? b : a; }
-
 /// PMC-Mean encoder state (Lazaridis & Mehrotra, ICDE'03). The window stays
 /// open while its running mean lies inside [lo, hi], the intersection of
 /// every member's relative allowance interval.
@@ -87,8 +81,8 @@ class PmcWindow {
   /// on `value`.
   bool Accept(double value, double error_bound) {
     const Allowance a = RelativeAllowance(value, error_bound);
-    const double new_lo = MaxOf(lo_, a.lo);
-    const double new_hi = MinOf(hi_, a.hi);
+    const double new_lo = std::max(lo_, a.lo);
+    const double new_hi = std::min(hi_, a.hi);
     const double new_sum = sum_ + value;
     const double new_mean = new_sum / static_cast<double>(length_ + 1);
     // isfinite guards the same-sign overflow of the sum near DBL_MAX: an
@@ -175,8 +169,8 @@ class SwingWindow {
   bool Accept(double value, double error_bound) {
     const double step = static_cast<double>(length_);
     const Allowance a = RelativeAllowance(value, error_bound);
-    const double new_lo = MaxOf(lo_, (a.lo - anchor_) / step);
-    const double new_hi = MinOf(hi_, (a.hi - anchor_) / step);
+    const double new_lo = std::max(lo_, (a.lo - anchor_) / step);
+    const double new_hi = std::min(hi_, (a.hi - anchor_) / step);
     if (!(new_lo <= new_hi) || length_ >= kMaxSegmentLength) return false;
     lo_ = new_lo;
     hi_ = new_hi;
