@@ -93,9 +93,9 @@ class StreamingCompressor {
   explicit StreamingCompressor(compress::AlgorithmId algorithm)
       : algorithm_(algorithm) {}
 
-  // Append's own frame holds no stack objects, so a PMC point that joins
-  // the window costs no per-call stack setup (which sanitizer builds make
-  // expensive): errors, closes and the Swing path live out of line.
+  // Errors, window closes and the Swing step live out of line, so the
+  // common PMC point gets a small Append stack frame: sanitizer builds set
+  // up and tear down every frame object on each call.
 
   /// The error for a point Append refuses.
   [[gnu::noinline]] Status Reject(double value) const;
