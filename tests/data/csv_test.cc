@@ -1,5 +1,7 @@
 #include "data/csv.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -11,7 +13,11 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/lossyts_csv_test.csv";
+    // ctest runs each test in its own process, in parallel: a per-test,
+    // per-process file name keeps them from overwriting each other's file.
+    path_ = ::testing::TempDir() + "/lossyts_csv_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid()) + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
