@@ -1,6 +1,10 @@
 #include "compress/pipeline.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <list>
+#include <mutex>
 #include <string>
 
 #include "compress/cameo.h"
@@ -19,15 +23,6 @@
 
 namespace lossyts::compress {
 
-std::vector<uint8_t> SerializeRaw(const TimeSeries& series) {
-  ByteWriter writer;
-  writer.PutI32(static_cast<int32_t>(series.start_timestamp()));
-  writer.PutU16(static_cast<uint16_t>(series.interval_seconds()));
-  writer.PutU32(static_cast<uint32_t>(series.size()));
-  for (double v : series.values()) writer.PutDouble(v);
-  return writer.Finish();
-}
-
 std::vector<uint8_t> SerializeRawCsv(const TimeSeries& series) {
   std::string text = "timestamp,value\n";
   char buffer[64];
@@ -39,8 +34,83 @@ std::vector<uint8_t> SerializeRawCsv(const TimeSeries& series) {
   return std::vector<uint8_t>(text.begin(), text.end());
 }
 
+namespace {
+
+/// The raw side of Eq. 3 for one series: |SerializeRawCsv| and its gzip.
+struct RawSizes {
+  size_t csv_bytes = 0;
+  size_t gz_bytes = 0;
+};
+
+/// Sweeps call RunPipeline once per (codec, bound) on the same series, and
+/// the CSV serialization plus gzip of that series costs far more than the
+/// codec's own encode and decode. This memo computes each exact series' raw
+/// sizes once. The key is the whole series (start, interval and the value
+/// bits, compared with memcmp against a stored copy), so a hit always returns
+/// what a fresh computation would. It is a small LRU of fixed capacity.
+class RawSizeMemo {
+ public:
+  RawSizes Get(const TimeSeries& series) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = Find(series);
+      if (it != entries_.end()) {
+        entries_.splice(entries_.begin(), entries_, it);
+        return it->sizes;
+      }
+    }
+    // Computed outside the lock; two racing misses both compute the same
+    // sizes and the second insert finds the first.
+    const std::vector<uint8_t> csv = SerializeRawCsv(series);
+    const RawSizes sizes{csv.size(), zip::GzipCompress(csv).size()};
+    std::lock_guard<std::mutex> lock(mu_);
+    if (Find(series) == entries_.end()) {
+      entries_.push_front({series.start_timestamp(),
+                           series.interval_seconds(), series.values(), sizes});
+      if (entries_.size() > kCapacity) entries_.pop_back();
+    }
+    return sizes;
+  }
+
+ private:
+  static constexpr size_t kCapacity = 16;
+  static_assert(kCapacity >= 6, "the sweep interleaves six series");
+
+  struct Entry {
+    int64_t start = 0;
+    int32_t interval = 0;
+    std::vector<double> values;
+    RawSizes sizes;
+  };
+
+  std::list<Entry>::iterator Find(const TimeSeries& series) {
+    const std::vector<double>& values = series.values();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->start == series.start_timestamp() &&
+          it->interval == series.interval_seconds() &&
+          it->values.size() == values.size() &&
+          (values.empty() ||
+           std::memcmp(it->values.data(), values.data(),
+                       values.size() * sizeof(double)) == 0)) {
+        return it;
+      }
+    }
+    return entries_.end();
+  }
+
+  std::mutex mu_;
+  std::list<Entry> entries_;  ///< Most recently used first.
+};
+
+RawSizes MemoizedRawSizes(const TimeSeries& series) {
+  static RawSizeMemo& memo = *new RawSizeMemo();
+  return memo.Get(series);
+}
+
+}  // namespace
+
 size_t RawGzipSize(const TimeSeries& series) {
-  return zip::GzipCompress(SerializeRawCsv(series)).size();
+  return MemoizedRawSizes(series).gz_bytes;
 }
 
 size_t CountConstantRuns(const TimeSeries& series) {
@@ -59,9 +129,9 @@ Result<PipelineResult> RunPipeline(const Compressor& compressor,
   result.compressor_name = std::string(compressor.name());
   result.error_bound = error_bound;
 
-  const std::vector<uint8_t> raw_csv = SerializeRawCsv(series);
-  result.raw_bytes = raw_csv.size();
-  result.raw_gz_bytes = zip::GzipCompress(raw_csv).size();
+  const RawSizes raw = MemoizedRawSizes(series);
+  result.raw_bytes = raw.csv_bytes;
+  result.raw_gz_bytes = raw.gz_bytes;
 
   LOSSYTS_FAILPOINT("compress");
   Result<std::vector<uint8_t>> blob = compressor.Compress(series, error_bound);

@@ -18,8 +18,8 @@ struct PipelineResult {
   std::string compressor_name;
   double error_bound = 0.0;
 
-  size_t raw_bytes = 0;         ///< Raw binary representation, pre-gzip.
-  size_t raw_gz_bytes = 0;      ///< gzip(raw), the CR denominator's source.
+  size_t raw_bytes = 0;         ///< SerializeRawCsv(series).size().
+  size_t raw_gz_bytes = 0;      ///< gzip(raw CSV): Eq. 3's numerator.
   size_t compressed_bytes = 0;  ///< Algorithm output, pre-gzip.
   size_t gz_bytes = 0;          ///< gzip(algorithm output): the ".gz file".
 
@@ -46,19 +46,20 @@ struct PipelineResult {
   TimeSeries decompressed;
 };
 
-/// Serializes the raw series as binary: shared timestamp header + 8-byte
-/// IEEE values (the in-memory working format).
-std::vector<uint8_t> SerializeRaw(const TimeSeries& series);
-
 /// Serializes the raw series as CSV text ("timestamp,value" rows). The
 /// paper's raw-size baseline applies gzip *directly to the raw dataset*,
 /// i.e. to the distributed CSV files, so the CR numerator uses this form.
 std::vector<uint8_t> SerializeRawCsv(const TimeSeries& series);
 
 /// gzip(SerializeRawCsv(series)).size() — the numerator of every CR.
+/// Memoized per exact series (start, interval and value bits) in a bounded
+/// LRU shared with RunPipeline, so repeated calls on one series serialize
+/// and gzip it once; the result always equals the direct computation.
+/// Thread-safe.
 size_t RawGzipSize(const TimeSeries& series);
 
-/// Runs the full pipeline for one (compressor, error bound) pair.
+/// Runs the full pipeline for one (compressor, error bound) pair. The raw
+/// sizes come from the same memo as RawGzipSize.
 Result<PipelineResult> RunPipeline(const Compressor& compressor,
                                    const TimeSeries& series,
                                    double error_bound);

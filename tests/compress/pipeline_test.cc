@@ -1,10 +1,14 @@
 #include "compress/pipeline.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
+#include "zip/gzip.h"
 
 namespace lossyts::compress {
 namespace {
@@ -18,12 +22,6 @@ TimeSeries SmoothSeries(size_t n, uint64_t seed) {
     v[i] = x + 3.0 * std::sin(static_cast<double>(i) * 0.02);
   }
   return TimeSeries(0, 900, std::move(v));
-}
-
-TEST(PipelineTest, SerializeRawHasExpectedSize) {
-  TimeSeries ts = SmoothSeries(100, 1);
-  std::vector<uint8_t> raw = SerializeRaw(ts);
-  EXPECT_EQ(raw.size(), 4u + 2u + 4u + 100u * 8u);
 }
 
 TEST(PipelineTest, SerializeRawCsvIsParsableText) {
@@ -42,6 +40,88 @@ TEST(PipelineTest, SerializeRawCsvIsParsableText) {
 TEST(PipelineTest, RawGzipShrinksSmoothData) {
   TimeSeries ts = SmoothSeries(5000, 2);
   EXPECT_LT(RawGzipSize(ts), SerializeRawCsv(ts).size());
+}
+
+// RawGzipSize and RunPipeline's raw sizes are memoized per exact series; they
+// must always equal the direct computation, however the calls interleave.
+void ExpectRawSizesExact(const TimeSeries& ts, const Compressor& codec) {
+  const std::vector<uint8_t> csv = SerializeRawCsv(ts);
+  const size_t direct_gz = zip::GzipCompress(csv).size();
+  EXPECT_EQ(RawGzipSize(ts), direct_gz);
+  Result<PipelineResult> r = RunPipeline(codec, ts, 0.05);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->raw_bytes, csv.size());
+  EXPECT_EQ(r->raw_gz_bytes, direct_gz);
+}
+
+TEST(PipelineTest, RawSizesDistinguishSeriesDifferingInOneValue) {
+  Result<std::unique_ptr<Compressor>> pmc = MakeCompressor("PMC");
+  ASSERT_TRUE(pmc.ok());
+  TimeSeries a = SmoothSeries(1500, 21);
+  TimeSeries b = a;
+  // The smooth values print with ten significant digits and 7 prints as one
+  // character, so the CSV's size changes and a false memo hit would show.
+  b.mutable_values()[700] = 7.0;
+  ASSERT_NE(SerializeRawCsv(a).size(), SerializeRawCsv(b).size());
+  for (int round = 0; round < 2; ++round) {
+    ExpectRawSizesExact(a, **pmc);
+    ExpectRawSizesExact(b, **pmc);
+  }
+}
+
+TEST(PipelineTest, RawSizesDistinguishStartIntervalAndLength) {
+  Result<std::unique_ptr<Compressor>> pmc = MakeCompressor("PMC");
+  ASSERT_TRUE(pmc.ok());
+  const TimeSeries base = SmoothSeries(1200, 23);
+  std::vector<double> prefix(base.values().begin(),
+                             base.values().begin() + 1100);
+  const std::vector<TimeSeries> variants = {
+      base,
+      TimeSeries(1700000000, base.interval_seconds(), base.values()),
+      TimeSeries(base.start_timestamp(), 60, base.values()),
+      TimeSeries(base.start_timestamp(), base.interval_seconds(), prefix),
+  };
+  for (size_t i = 1; i < variants.size(); ++i) {
+    ASSERT_NE(SerializeRawCsv(variants[i]).size(),
+              SerializeRawCsv(variants[0]).size())
+        << "variant " << i;
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const TimeSeries& ts : variants) ExpectRawSizesExact(ts, **pmc);
+    // The empty prefix: header-only CSV.
+    EXPECT_EQ(RawGzipSize(TimeSeries()),
+              zip::GzipCompress(SerializeRawCsv(TimeSeries())).size());
+  }
+}
+
+TEST(PipelineTest, RawSizesFollowMutationAfterFirstCall) {
+  Result<std::unique_ptr<Compressor>> swing = MakeCompressor("SWING");
+  ASSERT_TRUE(swing.ok());
+  TimeSeries ts = SmoothSeries(1000, 25);
+  ExpectRawSizesExact(ts, **swing);
+  const size_t before = SerializeRawCsv(ts).size();
+  // Whole numbers print shorter than the smooth values did.
+  for (double& v : ts.mutable_values()) v = std::round(v);
+  ASSERT_NE(SerializeRawCsv(ts).size(), before);
+  ExpectRawSizesExact(ts, **swing);
+  ts.mutable_values().push_back(42.0);
+  ExpectRawSizesExact(ts, **swing);
+}
+
+TEST(PipelineTest, RawSizesStayExactAcrossEviction) {
+  // Well past the memo's capacity: cycling forward twice misses on every
+  // call, and the reverse pass then meets resident series first, evicted
+  // ones after.
+  Result<std::unique_ptr<Compressor>> sz = MakeCompressor("SZ");
+  ASSERT_TRUE(sz.ok());
+  std::vector<TimeSeries> many;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    many.push_back(SmoothSeries(300 + seed, 100 + seed));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const TimeSeries& ts : many) ExpectRawSizesExact(ts, **sz);
+  }
+  for (size_t i = many.size(); i-- > 0;) ExpectRawSizesExact(many[i], **sz);
 }
 
 TEST(PipelineTest, RunPipelineProducesConsistentResult) {
@@ -229,6 +309,64 @@ TEST(PipelineTest, CountConstantRuns) {
   EXPECT_EQ(CountConstantRuns(TimeSeries(0, 1, {1.0})), 1u);
   EXPECT_EQ(CountConstantRuns(TimeSeries(0, 1, {1.0, 1.0, 2.0, 2.0, 1.0})),
             3u);
+}
+
+TEST(PipelineConcurrencyTest, ParallelRunsSeeExactRawSizes) {
+  // The raw-size memo is shared process state; pool workers race on its
+  // misses and hits. Every result must still equal the direct computation.
+  const std::vector<TimeSeries> series = {
+      SmoothSeries(800, 31), SmoothSeries(900, 32), SmoothSeries(1000, 33)};
+  std::vector<size_t> direct_csv;
+  std::vector<size_t> direct_gz;
+  for (const TimeSeries& ts : series) {
+    const std::vector<uint8_t> csv = SerializeRawCsv(ts);
+    direct_csv.push_back(csv.size());
+    direct_gz.push_back(zip::GzipCompress(csv).size());
+  }
+  std::vector<std::unique_ptr<Compressor>> codecs;
+  for (const std::string name : {"PMC", "SWING", "SZ"}) {
+    Result<std::unique_ptr<Compressor>> c = MakeCompressor(name);
+    ASSERT_TRUE(c.ok()) << name;
+    codecs.push_back(std::move(*c));
+  }
+
+  constexpr size_t kRepeats = 4;
+  struct Slot {
+    size_t series = 0;
+    bool ok = false;
+    size_t raw_bytes = 0;
+    size_t raw_gz_bytes = 0;
+    size_t raw_gzip_size = 0;
+  };
+  std::vector<Slot> slots(kRepeats * series.size() * codecs.size());
+  {
+    ThreadPool pool(4);
+    size_t next = 0;
+    for (size_t rep = 0; rep < kRepeats; ++rep) {
+      for (size_t s = 0; s < series.size(); ++s) {
+        for (size_t c = 0; c < codecs.size(); ++c) {
+          Slot* slot = &slots[next++];
+          slot->series = s;
+          pool.Submit([slot, &series, &codecs, s, c] {
+            Result<PipelineResult> r = RunPipeline(*codecs[c], series[s], 0.1);
+            slot->ok = r.ok();
+            if (r.ok()) {
+              slot->raw_bytes = r->raw_bytes;
+              slot->raw_gz_bytes = r->raw_gz_bytes;
+            }
+            slot->raw_gzip_size = RawGzipSize(series[s]);
+          });
+        }
+      }
+    }
+    pool.Wait();
+  }
+  for (const Slot& slot : slots) {
+    ASSERT_TRUE(slot.ok);
+    EXPECT_EQ(slot.raw_bytes, direct_csv[slot.series]);
+    EXPECT_EQ(slot.raw_gz_bytes, direct_gz[slot.series]);
+    EXPECT_EQ(slot.raw_gzip_size, direct_gz[slot.series]);
+  }
 }
 
 }  // namespace
