@@ -24,9 +24,11 @@ Result<std::vector<double>> EvaluateOnTest(const forecast::Forecaster& model,
     return Status::FailedPrecondition("test split too short for one window");
   }
 
+  // A cap of 1 keeps the uncapped stride: the loop below stops after the
+  // window at start 0.
   size_t stride = std::max<size_t>(1, options.eval_stride);
   const size_t positions = (test.size() - span) / stride + 1;
-  if (options.max_eval_windows > 0 && positions > options.max_eval_windows) {
+  if (options.max_eval_windows > 1 && positions > options.max_eval_windows) {
     stride = (test.size() - span) / (options.max_eval_windows - 1);
   }
 
@@ -34,21 +36,27 @@ Result<std::vector<double>> EvaluateOnTest(const forecast::Forecaster& model,
   const std::vector<double>& inputs =
       transformed_test != nullptr ? transformed_test->values() : raw;
 
+  // Window i starts at i * stride.
+  std::vector<std::vector<double>> windows;
+  for (size_t start = 0; start + span <= raw.size(); start += stride) {
+    windows.emplace_back(inputs.begin() + start,
+                         inputs.begin() + start + input_length);
+    if (options.max_eval_windows > 0 &&
+        windows.size() >= options.max_eval_windows) {
+      break;
+    }
+  }
+  Result<std::vector<std::vector<double>>> preds = model.PredictBatch(windows);
+  if (!preds.ok()) return preds.status();
+
   std::vector<double> actual;
   std::vector<double> predicted;
-  size_t windows = 0;
-  for (size_t start = 0; start + span <= raw.size(); start += stride) {
-    std::vector<double> window(inputs.begin() + start,
-                               inputs.begin() + start + input_length);
-    Result<std::vector<double>> pred = model.Predict(window);
-    if (!pred.ok()) return pred.status();
+  actual.reserve(windows.size() * horizon);
+  predicted.reserve(windows.size() * horizon);
+  for (size_t i = 0; i < windows.size(); ++i) {
     for (size_t s = 0; s < horizon; ++s) {
-      actual.push_back(raw[start + input_length + s]);
-      predicted.push_back((*pred)[s]);
-    }
-    ++windows;
-    if (options.max_eval_windows > 0 && windows >= options.max_eval_windows) {
-      break;
+      actual.push_back(raw[i * stride + input_length + s]);
+      predicted.push_back((*preds)[i][s]);
     }
   }
   MetricContext ctx;

@@ -16,7 +16,8 @@ struct ScenarioOptions {
   /// Step between consecutive evaluation windows in the test split.
   size_t eval_stride = 24;
   /// Upper bound on evaluation windows (0 = unlimited); windows are spread
-  /// uniformly over the test split when capped.
+  /// uniformly over the test split when capped, and a cap of 1 evaluates the
+  /// single window at start 0.
   size_t max_eval_windows = 64;
 };
 
@@ -39,8 +40,9 @@ struct MetricRequest {
 /// the target values y are always taken from the raw `test` — the paper's
 /// central measurement choice.
 ///
-/// Returns one value per requested metric, pooled over all predicted
-/// horizons, positionally matching `metrics.names`.
+/// All windows go to the model in one PredictBatch call. Returns one value
+/// per requested metric, pooled over all predicted horizons in window order,
+/// positionally matching `metrics.names`.
 Result<std::vector<double>> EvaluateOnTest(
     const forecast::Forecaster& model, const TimeSeries& test,
     const TimeSeries* transformed_test, size_t input_length, size_t horizon,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -47,6 +48,22 @@ class Forecaster {
   /// `input_length` observations. Requires a successful Fit.
   virtual Result<std::vector<double>> Predict(
       const std::vector<double>& window) const = 0;
+
+  /// Predicts every window of a batch: row i is exactly what Predict returns
+  /// for windows[i], and the first failing window's status is returned. An
+  /// empty batch yields an empty result. The default loops Predict; models
+  /// that can share one pass across windows override it.
+  virtual Result<std::vector<std::vector<double>>> PredictBatch(
+      const std::vector<std::vector<double>>& windows) const {
+    std::vector<std::vector<double>> out;
+    out.reserve(windows.size());
+    for (const std::vector<double>& window : windows) {
+      Result<std::vector<double>> pred = Predict(window);
+      if (!pred.ok()) return pred.status();
+      out.push_back(std::move(*pred));
+    }
+    return out;
+  }
 };
 
 }  // namespace lossyts::forecast

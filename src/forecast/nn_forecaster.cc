@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/failpoint.h"
 
@@ -31,6 +32,7 @@ void PackBatch(const std::vector<WindowExample>& windows,
 double NnForecaster::EvaluateLoss(const std::vector<WindowExample>& windows,
                                   Rng& rng) {
   if (windows.empty()) return 0.0;
+  nn::NoGradScope no_grad;
   std::vector<size_t> order(windows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   double total = 0.0;
@@ -134,25 +136,41 @@ Status NnForecaster::Fit(const TimeSeries& train, const TimeSeries& val) {
 
 Result<std::vector<double>> NnForecaster::Predict(
     const std::vector<double>& window) const {
+  Result<std::vector<std::vector<double>>> rows = PredictBatch({window});
+  if (!rows.ok()) return rows.status();
+  return std::move(rows->front());
+}
+
+Result<std::vector<std::vector<double>>> NnForecaster::PredictBatch(
+    const std::vector<std::vector<double>>& windows) const {
+  if (windows.empty()) return std::vector<std::vector<double>>{};
   if (network_ == nullptr) {
     return Status::FailedPrecondition("Predict called before Fit");
   }
-  if (window.size() != config_.input_length) {
-    return Status::InvalidArgument(
-        "window must have input_length = " +
-        std::to_string(config_.input_length) + " values, got " +
-        std::to_string(window.size()));
+  for (const std::vector<double>& window : windows) {
+    if (window.size() != config_.input_length) {
+      return Status::InvalidArgument(
+          "window must have input_length = " +
+          std::to_string(config_.input_length) + " values, got " +
+          std::to_string(window.size()));
+    }
   }
-  nn::Tensor input(1, window.size());
-  for (size_t c = 0; c < window.size(); ++c) {
-    input(0, c) = scaler_.Transform(window[c]);
+  nn::Tensor input(windows.size(), config_.input_length);
+  for (size_t r = 0; r < windows.size(); ++r) {
+    for (size_t c = 0; c < config_.input_length; ++c) {
+      input(r, c) = scaler_.Transform(windows[r][c]);
+    }
   }
+  nn::NoGradScope no_grad;
   Rng rng(config_.seed);  // Inference path never uses randomness.
   nn::Var pred = const_cast<NnForecaster*>(this)->network_->Forward(
       nn::MakeVar(std::move(input)), false, rng);
-  std::vector<double> out(config_.horizon);
-  for (size_t c = 0; c < config_.horizon; ++c) {
-    out[c] = scaler_.Inverse(pred->value(0, c));
+  std::vector<std::vector<double>> out(
+      windows.size(), std::vector<double>(config_.horizon));
+  for (size_t r = 0; r < windows.size(); ++r) {
+    for (size_t c = 0; c < config_.horizon; ++c) {
+      out[r][c] = scaler_.Inverse(pred->value(r, c));
+    }
   }
   return out;
 }

@@ -39,6 +39,12 @@ class NnForecaster : public Forecaster {
   Status Fit(const TimeSeries& train, const TimeSeries& val) override;
   Result<std::vector<double>> Predict(
       const std::vector<double>& window) const override;
+  /// Scales and packs the windows into one (batch × input_length) tensor
+  /// and runs a single tape-free Forward over it. Every op on the networks'
+  /// inference path is row-independent, so each row is bit-identical to a
+  /// one-window pass.
+  Result<std::vector<std::vector<double>>> PredictBatch(
+      const std::vector<std::vector<double>>& windows) const override;
 
  protected:
   /// Builds the freshly initialized network (called once per Fit).

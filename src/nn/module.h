@@ -57,8 +57,9 @@ class LayerNormModule : public Module {
   Var bias_;
 };
 
-/// Gated recurrent unit cell (Cho et al. 2014). Processes one time step:
-/// given input x_t (1×input) and state h_{t-1} (1×hidden), returns h_t.
+/// Gated recurrent unit cell (Cho et al. 2014). Processes one time step for
+/// a batch of b sequences: given input x_t (b×input) and state h_{t-1}
+/// (b×hidden), returns h_t (b×hidden).
 class GruCell : public Module {
  public:
   GruCell(size_t input_size, size_t hidden_size, Rng& rng);

@@ -287,11 +287,12 @@ UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
 # reporter, the artifact store, the parallel-vs-sequential grid tests, and
 # the serve-daemon/store reader-vs-writer races, the per-series stream
-# state that shards advance under their mutex and the process-wide raw-size
-# memo behind compress::RunPipeline exercise every cross-thread edge, and a
-# full TSan run of the NN training tests would dominate CI time without
+# state that shards advance under their mutex, the process-wide raw-size
+# memo behind compress::RunPipeline and one fitted forecaster shared by
+# concurrent Predict/PredictBatch calls exercise every cross-thread edge,
+# and a full TSan run of the NN training tests would dominate CI time without
 # touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|PipelineConcurrencyTest'
+  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|PipelineConcurrencyTest|ForecastConcurrencyTest'
 
 echo "=== ci.sh: all configurations passed ==="
