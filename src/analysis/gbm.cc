@@ -15,6 +15,10 @@ Status GradientBoostedTrees::Fit(const std::vector<std::vector<double>>& rows,
     return Status::InvalidArgument("invalid boosting options");
   }
 
+  // Sorted once here; each stage's tree only filters the order to its rows.
+  Result<SortedColumns> columns = SortedColumns::Build(rows);
+  if (!columns.ok()) return columns.status();
+
   trees_.clear();
   base_score_ = 0.0;
   for (double t : targets) base_score_ += t;
@@ -48,7 +52,7 @@ Status GradientBoostedTrees::Fit(const std::vector<std::vector<double>>& rows,
       }
     }
     RegressionTree tree(options_.tree);
-    if (Status s = tree.Fit(rows, residuals, indices); !s.ok()) return s;
+    if (Status s = tree.Fit(*columns, residuals, indices); !s.ok()) return s;
     for (size_t i = 0; i < rows.size(); ++i) {
       predictions[i] += options_.learning_rate * tree.Predict(rows[i]);
     }
