@@ -26,12 +26,10 @@ std::vector<size_t> BuildLags(size_t input_length, size_t season_length) {
 }  // namespace
 
 std::vector<double> GBoostForecaster::FeaturesAt(
-    const std::vector<double>& history) const {
+    const std::vector<double>& series, size_t end) const {
   std::vector<double> features;
   features.reserve(lags_.size());
-  for (size_t lag : lags_) {
-    features.push_back(history[history.size() - lag]);
-  }
+  for (size_t lag : lags_) features.push_back(series[end - lag]);
   return features;
 }
 
@@ -52,8 +50,7 @@ Status GBoostForecaster::Fit(const TimeSeries& train,
   std::vector<std::vector<double>> rows;
   std::vector<double> targets;
   for (size_t t = max_lag; t < y.size(); t += step) {
-    std::vector<double> history(y.begin(), y.begin() + t);
-    rows.push_back(FeaturesAt(history));
+    rows.push_back(FeaturesAt(y, t));
     targets.push_back(y[t]);
   }
 
@@ -73,7 +70,7 @@ Result<std::vector<double>> GBoostForecaster::Predict(
   std::vector<double> out;
   out.reserve(config_.horizon);
   for (size_t s = 0; s < config_.horizon; ++s) {
-    const double pred = model_.Predict(FeaturesAt(history));
+    const double pred = model_.Predict(FeaturesAt(history, history.size()));
     history.push_back(pred);  // Recursive multi-step rollout.
     out.push_back(scaler_.Inverse(pred));
   }

@@ -42,7 +42,9 @@ class GBoostForecaster : public Forecaster {
   const std::vector<size_t>& lags() const { return lags_; }
 
  private:
-  std::vector<double> FeaturesAt(const std::vector<double>& history) const;
+  /// The lag features of the point at `end`: series[end - lag] per lag.
+  std::vector<double> FeaturesAt(const std::vector<double>& series,
+                                 size_t end) const;
 
   ForecastConfig config_;
   Options options_;
