@@ -172,7 +172,9 @@ Result<GridRecord> ParseGridRow(const std::string& row);
 /// are produced, and a partial or torn cache — e.g. after a crash — is
 /// salvaged and resumed, recomputing only the missing cells. A cache written
 /// for different GridOptions is discarded. Legacy plain-CSV caches load
-/// as complete sweeps.
+/// as complete sweeps. Records come back in canonical cell order whether
+/// they were loaded or computed, so callers see the same sequence either
+/// way.
 Result<std::vector<GridRecord>> LoadOrRunGrid(const GridOptions& options,
                                               const std::string& path);
 

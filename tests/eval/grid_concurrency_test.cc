@@ -4,6 +4,7 @@
 // once per (dataset, compressor, bound), and checkpoint kill-and-resume must
 // keep working when the sweep runs on a thread pool.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -147,6 +148,37 @@ TEST_F(GridConcurrencyTest, KillAndResumeWorksUnderParallelism) {
   Result<std::vector<GridRecord>> resumed = LoadOrRunGrid(options, path);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(Rows(*resumed), Rows(*uninterrupted));
+  std::remove(path.c_str());
+}
+
+TEST_F(GridConcurrencyTest, CompleteCacheLoadsInCanonicalOrder) {
+  const GridOptions options = TinyGrid(4);
+  const std::string path = TempPath("ckpt_shuffled_complete.csv");
+  std::remove(path.c_str());
+  Result<std::vector<GridRecord>> fresh = RunGrid(TinyGrid(1));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(fresh->size(), 6u);
+
+  // A complete cache whose rows landed in another order, as a jobs > 1
+  // run writes them in completion order.
+  std::vector<GridRecord> shuffled = *fresh;
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::swap(shuffled[1], shuffled[4]);
+  {
+    GridCheckpointWriter writer;
+    ASSERT_TRUE(writer.Open(path, GridOptionsHash(options), {}).ok());
+    for (const GridRecord& r : shuffled) ASSERT_TRUE(writer.Append(r).ok());
+    ASSERT_TRUE(writer.MarkComplete().ok());
+  }
+  Result<GridCheckpoint> cached =
+      LoadGridCheckpoint(path, GridOptionsHash(options));
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_TRUE(cached->complete);
+  ASSERT_NE(Rows(cached->records), Rows(*fresh));
+
+  Result<std::vector<GridRecord>> loaded = LoadOrRunGrid(options, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Rows(*loaded), Rows(*fresh));
   std::remove(path.c_str());
 }
 
