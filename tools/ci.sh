@@ -169,12 +169,20 @@ simd_smoke() {
 # state enabled: append over the socket, read StreamInfo, restart the
 # daemon, and require the state rebuilt from the WAL/checkpoint to match.
 # LOSSYTS_STREAM_ITERS scales micro_stream's best-of timing trials
-# (default 3); the floors themselves are self-relative, so they hold under
-# the sanitizer legs too.
+# (default 3). The 0.5x streaming/batch ingest-ratio floor binds only in the
+# plain leg. A sanitizer instruments the stream's per-point member state but
+# leaves the batch loop's registers alone, so under ASan, UBSan and TSan the
+# ratio measures the instrumentation (0.13-0.59 measured), not the codec.
+# Those legs set LOSSYTS_MICRO_STREAM_RATIO=0, which turns off only the
+# ratio floor; every identity, recall and --jobs check still runs.
 stream_smoke() {
-  local dir="$1"
+  local dir="$1" sanitize="$2"
   local bin="${dir}/tools/lossyts"
-  "${dir}/bench/micro_stream"
+  if [[ -n "${sanitize}" ]]; then
+    LOSSYTS_MICRO_STREAM_RATIO=0 "${dir}/bench/micro_stream"
+  else
+    "${dir}/bench/micro_stream"
+  fi
   "${bin}" stream Solar --codec PMC --eb 0.05 --detector level-ph \
     --no-retrain >/dev/null
   local catalog="${dir}/stream_smoke"
@@ -278,7 +286,7 @@ run_config() {
   simd_smoke "${dir}"
   serve_smoke "${dir}"
   query_smoke "${dir}"
-  stream_smoke "${dir}"
+  stream_smoke "${dir}" "${sanitize}"
 }
 
 run_config plain ""
