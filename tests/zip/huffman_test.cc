@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "compress/header.h"
+#include "compress/lfzip.h"
+#include "compress/serde.h"
+#include "compress/sz.h"
 #include "core/rng.h"
 
 namespace lossyts::zip {
@@ -283,6 +290,204 @@ TEST(HuffmanTest, RandomAlphabetRoundTrips) {
       Result<int> sym = decoder.Decode(reader);
       ASSERT_TRUE(sym.ok());
       ASSERT_EQ(*sym, expected);
+    }
+  }
+}
+
+// SZ and LFZip carry their Huffman table as (u32 symbol, u8 length) pairs.
+// Each mutant below damages that table in one way; the decode status (or,
+// for a table that still decodes, whether the values stay the same) is pinned
+// to what the dense per-symbol table gave, so any table builder must resolve
+// pairs exactly that way.
+
+// Byte offset of the entropy stage's mode byte in an SZ or LFZip blob.
+size_t EntropyStageOffset(const std::vector<uint8_t>& blob,
+                          compress::AlgorithmId id) {
+  compress::ByteReader reader(blob);
+  Result<compress::BlobHeader> header = compress::ReadHeader(reader, id);
+  EXPECT_TRUE(header.ok());
+  EXPECT_TRUE(reader.GetU32().ok());  // Non-zero count.
+  EXPECT_TRUE(reader.Skip(header->num_points).ok());  // Class stream.
+  Result<uint32_t> n_blocks = reader.GetU32();
+  EXPECT_TRUE(n_blocks.ok());
+  for (uint32_t b = 0; b < *n_blocks; ++b) {
+    if (id == compress::AlgorithmId::kLfzip) {
+      EXPECT_TRUE(reader.Skip(4).ok());  // f32 step.
+      continue;
+    }
+    Result<uint8_t> predictor = reader.GetU8();
+    EXPECT_TRUE(predictor.ok());
+    // f32 bound, then the mean (predictor 1) or the line (predictor 2).
+    EXPECT_TRUE(reader.Skip(4 + 8 * static_cast<size_t>(*predictor)).ok());
+  }
+  return reader.position();
+}
+
+struct TablePair {
+  uint32_t symbol;
+  uint8_t length;
+};
+
+// Rewrites the mode-0 table at `offset` as `pairs`, keeping the payload.
+std::vector<uint8_t> WithTable(const std::vector<uint8_t>& blob, size_t offset,
+                               const std::vector<TablePair>& pairs) {
+  compress::ByteReader reader(blob.data() + offset + 1,
+                              blob.size() - offset - 1);
+  const uint32_t n_used = *reader.GetU32();
+  const size_t tail = offset + 5 + 5 * static_cast<size_t>(n_used);
+  compress::ByteWriter writer;
+  writer.PutBytes(std::vector<uint8_t>(blob.begin(), blob.begin() + offset));
+  writer.PutU8(0);
+  writer.PutU32(static_cast<uint32_t>(pairs.size()));
+  for (const TablePair& p : pairs) {
+    writer.PutU32(p.symbol);
+    writer.PutU8(p.length);
+  }
+  writer.PutBytes(std::vector<uint8_t>(blob.begin() + tail, blob.end()));
+  return writer.Finish();
+}
+
+std::vector<TablePair> ReadTable(const std::vector<uint8_t>& blob,
+                                 size_t offset) {
+  compress::ByteReader reader(blob.data() + offset, blob.size() - offset);
+  EXPECT_EQ(*reader.GetU8(), 0) << "mutants need a Huffman-mode blob";
+  const uint32_t n_used = *reader.GetU32();
+  std::vector<TablePair> pairs;
+  for (uint32_t k = 0; k < n_used; ++k) {
+    const uint32_t symbol = *reader.GetU32();
+    pairs.push_back({symbol, *reader.GetU8()});
+  }
+  return pairs;
+}
+
+struct TableMutant {
+  const char* name;
+  const char* sz;     // Pinned outcome for SZ.
+  const char* lfzip;  // Pinned outcome for LFZip.
+};
+
+// "OK same" when the decoded values are the original ones, "OK <FNV-1a of
+// the value bits>" when the table decodes to other values, else the status.
+std::string DecodeOutcome(const compress::Compressor& codec,
+                          const std::vector<uint8_t>& blob,
+                          const std::vector<double>& original) {
+  Result<TimeSeries> out = codec.Decompress(blob);
+  if (!out.ok()) return out.status().ToString();
+  if (out->values() == original) return "OK same";
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (double v : out->values()) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  char text[32];
+  std::snprintf(text, sizeof(text), "OK %016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+std::vector<TablePair> MutateTable(const std::string& name,
+                                   std::vector<TablePair> pairs,
+                                   uint32_t alphabet) {
+  if (name == "duplicate-same") {
+    pairs.insert(pairs.begin() + 1, pairs[0]);
+  } else if (name == "duplicate-later-wins") {
+    // A bad length first, then the symbol's true length: the last wins.
+    std::vector<TablePair> out = {{pairs[1].symbol, 16}};
+    out.insert(out.end(), pairs.begin(), pairs.end());
+    pairs = out;
+  } else if (name == "duplicate-breaks-code") {
+    pairs.push_back({pairs[0].symbol, static_cast<uint8_t>(pairs[0].length + 1)});
+  } else if (name == "descending") {
+    std::reverse(pairs.begin(), pairs.end());
+  } else if (name == "swap-symbols") {
+    // The shortest and the longest code trade symbols: the table stays a
+    // complete code, so the stream decodes, to different values.
+    const auto by_length = [](const TablePair& a, const TablePair& b) {
+      return a.length < b.length;
+    };
+    std::swap(std::min_element(pairs.begin(), pairs.end(), by_length)->symbol,
+              std::max_element(pairs.begin(), pairs.end(), by_length)->symbol);
+  } else if (name == "zero-length") {
+    pairs[0].length = 0;
+  } else if (name == "zero-length-extra") {
+    pairs.push_back({pairs.back().symbol == 0 ? 1u : 0u, 0});
+  } else if (name == "length-16") {
+    pairs[0].length = 16;
+  } else if (name == "length-255") {
+    pairs.back().length = 255;
+  } else if (name == "symbol-past-alphabet") {
+    pairs[0].symbol = alphabet;
+  } else if (name == "symbol-far-past-alphabet") {
+    pairs.back().symbol = 0xFFFFFFFFu;
+  } else if (name == "empty") {
+    pairs.clear();
+  } else if (name == "single-symbol") {
+    pairs.resize(1);
+    pairs[0].length = 1;
+  }
+  return pairs;
+}
+
+TEST(SymbolTableMutantTest, StatusesMatchTheDenseTable) {
+  // clang-format off
+  const TableMutant kMutants[] = {
+      {"duplicate-same", "OK same", "OK same"},
+      {"duplicate-later-wins", "OK same", "OK same"},
+      {"duplicate-breaks-code", "Corruption: incomplete Huffman code",
+       "Corruption: incomplete Huffman code"},
+      {"descending", "OK same", "OK same"},
+      {"swap-symbols", "OK fc0bd96513278f94", "OK 5416e12929ebf30d"},
+      {"zero-length", "Corruption: incomplete Huffman code",
+       "Corruption: incomplete Huffman code"},
+      {"zero-length-extra", "OK same", "OK same"},
+      {"length-16", "Corruption: invalid Huffman code length",
+       "Corruption: invalid Huffman code length"},
+      {"length-255", "Corruption: invalid Huffman code length",
+       "Corruption: invalid Huffman code length"},
+      {"symbol-past-alphabet", "Corruption: SZ Huffman symbol out of range",
+       "Corruption: LFZip Huffman symbol out of range"},
+      {"symbol-far-past-alphabet",
+       "Corruption: SZ Huffman symbol out of range",
+       "Corruption: LFZip Huffman symbol out of range"},
+      {"empty", "Corruption: empty Huffman alphabet",
+       "Corruption: empty Huffman alphabet"},
+      {"single-symbol", "Corruption: invalid Huffman code in stream",
+       "Corruption: invalid Huffman code in stream"},
+  };
+  // clang-format on
+  Rng rng(31);
+  std::vector<double> v(1024);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = 20.0 + 5.0 * std::sin(static_cast<double>(i) * 0.05) +
+           0.2 * rng.Normal();
+  }
+  const TimeSeries series(0, 60, v);
+  const compress::SzCompressor sz;
+  const compress::LfzipCompressor lfzip;
+  const uint32_t alphabet = 2 * 32768 + 1;
+  for (const TableMutant& m : kMutants) {
+    for (const bool is_sz : {true, false}) {
+      const compress::Compressor& codec =
+          is_sz ? static_cast<const compress::Compressor&>(sz)
+                : static_cast<const compress::Compressor&>(lfzip);
+      Result<std::vector<uint8_t>> blob = codec.Compress(series, 0.05);
+      ASSERT_TRUE(blob.ok());
+      Result<TimeSeries> original = codec.Decompress(*blob);
+      ASSERT_TRUE(original.ok());
+      const size_t offset = EntropyStageOffset(
+          *blob,
+          is_sz ? compress::AlgorithmId::kSz : compress::AlgorithmId::kLfzip);
+      const std::vector<TablePair> pairs = ReadTable(*blob, offset);
+      ASSERT_GE(pairs.size(), 3u);
+      const std::vector<uint8_t> mutant =
+          WithTable(*blob, offset, MutateTable(m.name, pairs, alphabet));
+      EXPECT_EQ(DecodeOutcome(codec, mutant, original->values()),
+                is_sz ? m.sz : m.lfzip)
+          << m.name << (is_sz ? " SZ" : " LFZip");
     }
   }
 }
