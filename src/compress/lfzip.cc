@@ -8,9 +8,8 @@
 
 #include "compress/header.h"
 #include "compress/serde.h"
+#include "compress/symbol_coder.h"
 #include "core/simd.h"
-#include "zip/bitstream.h"
-#include "zip/huffman.h"
 
 namespace lossyts::compress {
 
@@ -189,41 +188,7 @@ Result<std::vector<uint8_t>> LfzipCompressor::Compress(
     writer.PutU32(bits);
   }
 
-  std::vector<uint64_t> freqs(static_cast<size_t>(unpredictable_symbol) + 1,
-                              0);
-  for (int s : symbols) freqs[static_cast<size_t>(s)]++;
-  Result<std::vector<int>> lengths = zip::BuildCodeLengths(freqs, 15);
-  if (lengths.ok()) {
-    writer.PutU8(0);  // Huffman mode.
-    uint32_t n_used = 0;
-    for (int l : *lengths) {
-      if (l > 0) ++n_used;
-    }
-    writer.PutU32(n_used);
-    for (size_t s = 0; s < lengths->size(); ++s) {
-      if ((*lengths)[s] > 0) {
-        writer.PutU32(static_cast<uint32_t>(s));
-        writer.PutU8(static_cast<uint8_t>((*lengths)[s]));
-      }
-    }
-    const std::vector<uint32_t> codes = zip::CanonicalCodes(*lengths);
-    zip::BitWriter bits;
-    for (int s : symbols) {
-      bits.WriteHuffmanCode(codes[static_cast<size_t>(s)],
-                            (*lengths)[static_cast<size_t>(s)]);
-    }
-    std::vector<uint8_t> payload = bits.Finish();
-    if (Status s = PutCountU32(writer, payload.size(),
-                               "LFZip Huffman payload");
-        !s.ok()) {
-      return s;
-    }
-    writer.PutBytes(payload);
-  } else {
-    // Degenerate distribution; store the raw codes (gzip still shrinks them).
-    writer.PutU8(1);
-    for (int s : symbols) writer.PutU32(static_cast<uint32_t>(s));
-  }
+  if (Status s = WriteSymbols(symbols, "LFZip", writer); !s.ok()) return s;
 
   if (Status s = PutCountU32(writer, unpredictable.size(),
                              "LFZip unpredictable value");
@@ -276,54 +241,11 @@ Result<TimeSeries> LfzipCompressor::Decompress(
     std::memcpy(&d, &b, sizeof(d));
   }
 
-  // Decode symbols.
-  Result<uint8_t> mode = reader.GetU8();
-  if (!mode.ok()) return mode.status();
-  std::vector<int> symbols;
-  symbols.reserve(*n_nonzero);
-  if (*mode == 0) {
-    Result<uint32_t> n_used = reader.GetU32();
-    if (!n_used.ok()) return n_used.status();
-    std::vector<int> lengths(static_cast<size_t>(unpredictable_symbol) + 1,
-                             0);
-    for (uint32_t k = 0; k < *n_used; ++k) {
-      Result<uint32_t> sym = reader.GetU32();
-      if (!sym.ok()) return sym.status();
-      Result<uint8_t> len = reader.GetU8();
-      if (!len.ok()) return len.status();
-      if (*sym >= lengths.size()) {
-        return Status::Corruption("LFZip Huffman symbol out of range");
-      }
-      lengths[*sym] = *len;
-    }
-    zip::HuffmanDecoder decoder;
-    if (Status s = decoder.Init(lengths); !s.ok()) return s;
-    Result<uint32_t> payload_size = reader.GetU32();
-    if (!payload_size.ok()) return payload_size.status();
-    if (*payload_size > reader.remaining()) {
-      return Status::Corruption("LFZip Huffman payload truncated");
-    }
-    zip::BitReader bits(reader.current(), *payload_size);
-    if (Status s = reader.Skip(*payload_size); !s.ok()) return s;
-    for (uint32_t i = 0; i < *n_nonzero; ++i) {
-      Result<int> sym = decoder.Decode(bits);
-      if (!sym.ok()) return sym.status();
-      symbols.push_back(*sym);
-    }
-  } else if (*mode == 1) {
-    for (uint32_t i = 0; i < *n_nonzero; ++i) {
-      Result<uint32_t> sym = reader.GetU32();
-      if (!sym.ok()) return sym.status();
-      // Compare as unsigned: casting first would wrap codes >= 2^31 to
-      // negative ints that slip past the check and decode as garbage.
-      if (*sym > static_cast<uint32_t>(unpredictable_symbol)) {
-        return Status::Corruption("LFZip raw symbol out of range");
-      }
-      symbols.push_back(static_cast<int>(*sym));
-    }
-  } else {
-    return Status::Corruption("invalid LFZip symbol coding mode");
-  }
+  Result<std::vector<int>> decoded_symbols =
+      ReadSymbols(reader, *n_nonzero,
+                  static_cast<uint32_t>(unpredictable_symbol) + 1, "LFZip");
+  if (!decoded_symbols.ok()) return decoded_symbols.status();
+  const std::vector<int>& symbols = *decoded_symbols;
 
   Result<uint32_t> n_unpredictable = reader.GetU32();
   if (!n_unpredictable.ok()) return n_unpredictable.status();

@@ -450,24 +450,23 @@ Result<QueryResult> QueryStoreDir(const std::string& dir,
         return;
       }
       out.points = selection->count;
-      SeriesAggregate& agg = out.aggregate;
-      for (const store::AggregateKind kind :
-           {store::AggregateKind::kMin, store::AggregateKind::kMax,
-            store::AggregateKind::kSum}) {
-        if (selection->count == 0) break;
-        Result<store::AggregateResult> r =
-            store::AggregateRange(**reader, kind, options.t0, options.t1);
-        if (!r.ok()) {
-          out.status = r.status();
-          return;
-        }
-        if (kind == store::AggregateKind::kMin) agg.min = r->value;
-        if (kind == store::AggregateKind::kMax) agg.max = r->value;
-        if (kind == store::AggregateKind::kSum) agg.sum = r->value;
-        out.pushdown_chunks += r->pushdown_chunks;
-        out.decoded_chunks += r->decoded_chunks;
+      out.aggregate.count = selection->count;
+      if (selection->count == 0) return;
+      // One pass over the chunks answers all three kinds.
+      Result<std::vector<store::AggregateResult>> r = store::AggregateRange(
+          **reader,
+          {store::AggregateKind::kMin, store::AggregateKind::kMax,
+           store::AggregateKind::kSum},
+          options.t0, options.t1);
+      if (!r.ok()) {
+        out.status = r.status();
+        return;
       }
-      agg.count = selection->count;
+      out.aggregate.min = (*r)[0].value;
+      out.aggregate.max = (*r)[1].value;
+      out.aggregate.sum = (*r)[2].value;
+      out.pushdown_chunks = (*r)[0].pushdown_chunks;
+      out.decoded_chunks = (*r)[0].decoded_chunks;
     });
   }
   pool.Wait();

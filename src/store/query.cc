@@ -83,35 +83,51 @@ void LocalSpan(const StoreReader& reader, const StoreReader::Selection& sel,
                                  : reader.chunks()[index].num_points - 1;
 }
 
-Result<AggregateResult> MergePartials(
-    const StoreReader& reader, AggregateKind kind,
-    const std::vector<ChunkPartial>& partials) {
-  AggregateResult result;
+// One store's partials merged in canonical chunk order; every requested
+// kind is finished from this one merge.
+struct MergedPartials {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   double sum_bound = 0.0;
   double point_bound = 0.0;
+  uint64_t count = 0;
+  size_t pushdown_chunks = 0;
+  size_t decoded_chunks = 0;
+};
+
+MergedPartials MergePartials(const StoreReader& reader,
+                             const std::vector<ChunkPartial>& partials) {
+  MergedPartials merged;
   // ε/(1−ε) maps a bound relative to raw values onto reconstructed ones;
   // lossless chunks contribute zero regardless.
   const double eb = reader.header().error_bound;
   const double factor = eb / (1.0 - eb);
   for (const ChunkPartial& partial : partials) {
-    sum += partial.sum;
-    min = std::min(min, partial.min);
-    max = std::max(max, partial.max);
-    result.count += partial.count;
+    merged.sum += partial.sum;
+    merged.min = std::min(merged.min, partial.min);
+    merged.max = std::max(merged.max, partial.max);
+    merged.count += partial.count;
     if (!partial.lossless) {
-      sum_bound += factor * partial.abs_sum;
-      point_bound = std::max(point_bound, factor * partial.max_abs);
+      merged.sum_bound += factor * partial.abs_sum;
+      merged.point_bound =
+          std::max(merged.point_bound, factor * partial.max_abs);
     }
     if (partial.pushdown) {
-      ++result.pushdown_chunks;
+      ++merged.pushdown_chunks;
     } else {
-      ++result.decoded_chunks;
+      ++merged.decoded_chunks;
     }
   }
+  return merged;
+}
 
+Result<AggregateResult> FinishAggregate(AggregateKind kind,
+                                        const MergedPartials& merged) {
+  AggregateResult result;
+  result.count = merged.count;
+  result.pushdown_chunks = merged.pushdown_chunks;
+  result.decoded_chunks = merged.decoded_chunks;
   if (result.count == 0 &&
       (kind == AggregateKind::kMin || kind == AggregateKind::kMax ||
        kind == AggregateKind::kMean)) {
@@ -120,24 +136,25 @@ Result<AggregateResult> MergePartials(
   }
   switch (kind) {
     case AggregateKind::kMin:
-      result.value = min;
-      result.error_bound = point_bound;
+      result.value = merged.min;
+      result.error_bound = merged.point_bound;
       break;
     case AggregateKind::kMax:
-      result.value = max;
-      result.error_bound = point_bound;
+      result.value = merged.max;
+      result.error_bound = merged.point_bound;
       break;
     case AggregateKind::kSum:
-      result.value = sum;
-      result.error_bound = sum_bound;
+      result.value = merged.sum;
+      result.error_bound = merged.sum_bound;
       break;
     case AggregateKind::kCount:
       result.value = static_cast<double>(result.count);
       result.error_bound = 0.0;
       break;
     case AggregateKind::kMean:
-      result.value = sum / static_cast<double>(result.count);
-      result.error_bound = sum_bound / static_cast<double>(result.count);
+      result.value = merged.sum / static_cast<double>(result.count);
+      result.error_bound =
+          merged.sum_bound / static_cast<double>(result.count);
       break;
   }
   return result;
@@ -175,16 +192,26 @@ Result<AggregateResult> AggregateRange(const StoreReader& reader,
                                        AggregateKind kind, int64_t t0,
                                        int64_t t1,
                                        const AggregateOptions& options) {
-  std::vector<const StoreReader*> readers = {&reader};
   Result<std::vector<AggregateResult>> results =
-      AggregateStores(readers, kind, t0, t1, options);
+      AggregateRange(reader, std::vector<AggregateKind>{kind}, t0, t1, options);
   if (!results.ok()) return results.status();
   return std::move((*results)[0]);
 }
 
-Result<std::vector<AggregateResult>> AggregateStores(
-    const std::vector<const StoreReader*>& readers, AggregateKind kind,
+Result<std::vector<AggregateResult>> AggregateRange(
+    const StoreReader& reader, const std::vector<AggregateKind>& kinds,
     int64_t t0, int64_t t1, const AggregateOptions& options) {
+  std::vector<const StoreReader*> readers = {&reader};
+  Result<std::vector<std::vector<AggregateResult>>> results =
+      AggregateStores(readers, kinds, t0, t1, options);
+  if (!results.ok()) return results.status();
+  return std::move((*results)[0]);
+}
+
+Result<std::vector<std::vector<AggregateResult>>> AggregateStores(
+    const std::vector<const StoreReader*>& readers,
+    const std::vector<AggregateKind>& kinds, int64_t t0, int64_t t1,
+    const AggregateOptions& options) {
   // Resolve every store's selection first so invalid arguments surface
   // before any work is scheduled.
   std::vector<StoreReader::Selection> selections;
@@ -229,8 +256,7 @@ Result<std::vector<AggregateResult>> AggregateStores(
   }
 
   // Merge in canonical (store, chunk) order — slots were built that way.
-  std::vector<AggregateResult> results;
-  results.reserve(readers.size());
+  std::vector<std::vector<AggregateResult>> results(readers.size());
   size_t cursor = 0;
   for (size_t s = 0; s < readers.size(); ++s) {
     std::vector<ChunkPartial> partials;
@@ -239,9 +265,12 @@ Result<std::vector<AggregateResult>> AggregateStores(
       partials.push_back(*slots[cursor].partial);
       ++cursor;
     }
-    Result<AggregateResult> merged = MergePartials(*readers[s], kind, partials);
-    if (!merged.ok()) return merged.status();
-    results.push_back(*merged);
+    const MergedPartials merged = MergePartials(*readers[s], partials);
+    for (const AggregateKind kind : kinds) {
+      Result<AggregateResult> result = FinishAggregate(kind, merged);
+      if (!result.ok()) return result.status();
+      results[s].push_back(*result);
+    }
   }
   return results;
 }

@@ -42,6 +42,9 @@ namespace lossyts::store {
 /// Thread-safe: all read methods may be called concurrently.
 class StoreReader {
  public:
+  /// Reads the file with one sized read, then validates it as OpenBytes
+  /// does. NotFound when `path` cannot be opened; IoError when it is not a
+  /// regular file (a directory, say) or the read fails.
   static Result<std::unique_ptr<StoreReader>> Open(const std::string& path);
   /// Same validation over an in-memory image (the conform mutation battery's
   /// entry point — mutants never touch the filesystem).

@@ -133,27 +133,53 @@ std::vector<uint32_t> CanonicalCodes(const std::vector<int>& lengths) {
 }
 
 Status HuffmanDecoder::Init(const std::vector<int>& lengths) {
+  std::vector<SymbolLength> pairs;
+  for (size_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] != 0) {
+      pairs.push_back({static_cast<uint32_t>(s), lengths[s]});
+    }
+  }
+  return Init(std::move(pairs), lengths.size());
+}
+
+Status HuffmanDecoder::Init(std::vector<SymbolLength> pairs,
+                            size_t alphabet_size) {
   sorted_symbols_.clear();
   max_used_length_ = 0;
   std::fill(std::begin(count_), std::end(count_), 0);
-  if (lengths.size() > static_cast<size_t>(kSymMask) + 1) {
+  if (alphabet_size > static_cast<size_t>(kSymMask) + 1) {
     // The LUT packs symbol values into 17 bits; nothing in this library
     // (DEFLATE's 288, SZ's 65537) comes close, so a larger alphabet is a
     // caller bug, not a stream property.
     return Status::InvalidArgument("Huffman alphabet exceeds 2^17 symbols");
   }
-  int used = 0;
-  for (size_t s = 0; s < lengths.size(); ++s) {
-    const int l = lengths[s];
+
+  // Resolve to one length per symbol, ascending. The stable sort keeps a
+  // repeated symbol's pairs in their given order, so its last one wins.
+  const auto by_symbol = [](const SymbolLength& a, const SymbolLength& b) {
+    return a.symbol < b.symbol;
+  };
+  if (!std::is_sorted(pairs.begin(), pairs.end(), by_symbol)) {
+    std::stable_sort(pairs.begin(), pairs.end(), by_symbol);
+  }
+  size_t used = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i + 1 < pairs.size() && pairs[i + 1].symbol == pairs[i].symbol) {
+      continue;
+    }
+    if (pairs[i].symbol >= alphabet_size) {
+      return Status::Corruption("Huffman symbol out of range");
+    }
+    const int l = pairs[i].length;
     if (l < 0 || l > kMaxLength) {
       return Status::Corruption("invalid Huffman code length");
     }
-    if (l > 0) {
-      count_[l]++;
-      max_used_length_ = std::max(max_used_length_, l);
-      ++used;
-    }
+    if (l == 0) continue;
+    count_[l]++;
+    max_used_length_ = std::max(max_used_length_, l);
+    pairs[used++] = pairs[i];
   }
+  pairs.resize(used);
   if (used == 0) return Status::Corruption("empty Huffman alphabet");
 
   // Validate Kraft inequality; allow the single-symbol degenerate code.
@@ -175,14 +201,12 @@ Status HuffmanDecoder::Init(const std::vector<int>& lengths) {
     offset_[l] = offset;
     offset += count_[l];
   }
+  // Canonical order: by length, then by symbol within a length.
   sorted_symbols_.resize(offset);
-  std::vector<int> next(max_used_length_ + 1, 0);
-  for (size_t s = 0; s < lengths.size(); ++s) {
-    const int l = lengths[s];
-    if (l > 0) {
-      sorted_symbols_[offset_[l] + next[l]] = static_cast<int>(s);
-      next[l]++;
-    }
+  int next[kMaxLength + 1] = {};
+  for (const SymbolLength& p : pairs) {
+    sorted_symbols_[offset_[p.length] + next[p.length]++] =
+        static_cast<int>(p.symbol);
   }
   BuildLut();
   return Status::OK();

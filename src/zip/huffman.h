@@ -26,6 +26,12 @@ Result<std::vector<int>> BuildCodeLengths(const std::vector<uint64_t>& freqs,
 /// §3.2.2: shorter codes first, ties broken by symbol order.
 std::vector<uint32_t> CanonicalCodes(const std::vector<int>& lengths);
 
+/// One symbol's code length, the form SZ and LFZip transmit their tables in.
+struct SymbolLength {
+  uint32_t symbol = 0;
+  int length = 0;
+};
+
 /// Canonical Huffman decoder driven by code lengths alone (the form DEFLATE
 /// transmits). Decode() is table-driven: a flat root table indexed by the
 /// next kRootBits stream bits resolves every code up to that length in one
@@ -35,9 +41,19 @@ std::vector<uint32_t> CanonicalCodes(const std::vector<int>& lengths);
 /// identical symbols and identical error statuses on every stream.
 class HuffmanDecoder {
  public:
-  /// Initializes from per-symbol code lengths. Fails if the lengths are not a
-  /// valid (complete or single-symbol) prefix code.
+  /// Initializes from per-symbol code lengths: lengths[s] is symbol s's
+  /// length, 0 for an unused symbol. Fails if the lengths are not a valid
+  /// (complete or single-symbol) prefix code.
   Status Init(const std::vector<int>& lengths);
+
+  /// Initializes from (symbol, length) pairs over an alphabet of
+  /// `alphabet_size` symbols, in time linear in the pairs rather than the
+  /// alphabet. The pairs resolve exactly as writing them in order into a
+  /// dense per-symbol array would: any order is accepted, a repeated symbol
+  /// takes its last length, and a zero length leaves the symbol unused. A
+  /// length outside 0..15 or a symbol past the alphabet is Corruption; the
+  /// code checks are the dense Init's. The dense Init is a wrapper over this.
+  Status Init(std::vector<SymbolLength> pairs, size_t alphabet_size);
 
   /// Decodes one symbol from the reader via the lookup table.
   Result<int> Decode(BitReader& reader) const;

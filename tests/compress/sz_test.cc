@@ -304,5 +304,29 @@ TEST(SzTest, UnpredictableSymbolWithEmptyStreamIsCorruption) {
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
 }
 
+// A series of exact zeros has no quantization symbols, so its Huffman
+// table is empty (mode 0, n_used 0). The encoder's bytes stay as they were;
+// the decoder must accept the empty table when there is nothing to decode.
+TEST(SzTest, AllZeroSeriesRoundTrips) {
+  const SzCompressor codec;
+  for (size_t n : {size_t{1}, size_t{1024}}) {
+    const TimeSeries zeros(0, 60, std::vector<double>(n, 0.0));
+    Result<std::vector<uint8_t>> blob = codec.Compress(zeros, 0.05);
+    ASSERT_TRUE(blob.ok());
+    if (n == 1024) {
+      // Header 11, counts 4 + 4, classes 1024, mode 1, n_used 4, payload
+      // size 4, unpredictable count 4.
+      EXPECT_EQ(blob->size(), 1056u);
+    }
+    Result<TimeSeries> out = codec.Decompress(*blob);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->size(), n);
+    for (double v : out->values()) {
+      EXPECT_EQ(v, 0.0);
+      EXPECT_FALSE(std::signbit(v));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lossyts::compress

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/failpoint.h"
+#include "core/rng.h"
 #include "core/time_series.h"
 #include "store/format.h"
+#include "store/query.h"
+#include "store/reader.h"
 #include "store/writer.h"
 
 namespace lossyts::query {
@@ -260,6 +265,82 @@ TEST_F(QueryTest, AggregateOnlyQueriesUsePushdownAndMergeCorrectly) {
   EXPECT_GT(result->pushdown_chunks, 0u);
 }
 
+// Chunks that the default trial codecs split between PMC, Swing, SZ and
+// Gorilla (see StoreQueryTest.MultiKindPassEqualsPerKindQueries).
+void WriteMixedCodecStore(const std::string& path, uint64_t seed) {
+  Rng rng(seed);
+  constexpr double kSubnormals[] = {3e-310, 7e-310, 1.1e-309};
+  std::vector<double> v;
+  for (int i = 0; i < 256; ++i) v.push_back(40.0 + 0.01 * rng.Normal());
+  for (int i = 0; i < 256; ++i) v.push_back(10.0 + 0.5 * i);
+  for (int i = 0; i < 256; ++i) {
+    v.push_back(20.0 + 5.0 * std::sin(0.3 * i) + rng.Normal());
+  }
+  for (int i = 0; i < 256; ++i) v.push_back(kSubnormals[rng.UniformInt(3)]);
+  store::StoreOptions options;
+  options.chunk_span = 256;
+  Result<std::unique_ptr<store::StoreWriter>> writer =
+      store::StoreWriter::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->Append(TimeSeries(0, 60, std::move(v))).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+}
+
+// Aggregate-only QueryStoreDir answers MIN, MAX and SUM from one pass per
+// store: every row equals the per-kind store aggregates, the output is the
+// same at every jobs value, and each selected chunk is counted once.
+TEST_F(QueryTest, AggregateOnlyRowsEqualPerKindStoreAggregates) {
+  const std::string dir = TempDir("query_one_pass");
+  const std::vector<std::string> names = {"mix_a", "mix_b", "mix_c"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    WriteMixedCodecStore(dir + "/" + names[i] + ".lts", 40 + i);
+  }
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {std::numeric_limits<int64_t>::min(),
+       std::numeric_limits<int64_t>::max()},
+      {100 * 60, 900 * 60}};
+  for (const auto& [t0, t1] : ranges) {
+    std::string expected = "group,series,points,MIN,MAX,SUM,COUNT,MEAN\n";
+    uint64_t selected_chunks = 0;
+    for (const std::string& name : names) {
+      Result<std::unique_ptr<store::StoreReader>> reader =
+          store::StoreReader::Open(dir + "/" + name + ".lts");
+      ASSERT_TRUE(reader.ok());
+      Result<store::StoreReader::Selection> sel = (*reader)->Select(t0, t1);
+      ASSERT_TRUE(sel.ok());
+      selected_chunks += sel->last_chunk - sel->first_chunk + 1;
+      expected += name + ",1," + std::to_string(sel->count);
+      for (store::AggregateKind kind :
+           {store::AggregateKind::kMin, store::AggregateKind::kMax,
+            store::AggregateKind::kSum, store::AggregateKind::kCount,
+            store::AggregateKind::kMean}) {
+        Result<store::AggregateResult> r =
+            store::AggregateRange(**reader, kind, t0, t1);
+        ASSERT_TRUE(r.ok());
+        char buffer[32];
+        std::snprintf(buffer, sizeof(buffer), ",%.17g", r->value);
+        expected += buffer;
+      }
+      expected += "\n";
+    }
+    for (int jobs : {1, 2, 4}) {
+      QueryOptions options;
+      options.aggregates = {"MIN", "MAX", "SUM", "COUNT", "MEAN"};
+      options.t0 = t0;
+      options.t1 = t1;
+      options.jobs = jobs;
+      Result<QueryResult> result = QueryStoreDir(dir, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(FormatQueryResult(*result), expected) << "jobs " << jobs;
+      EXPECT_EQ(result->pushdown_chunks + result->decoded_chunks,
+                selected_chunks)
+          << "jobs " << jobs;
+      EXPECT_GT(result->decoded_chunks, 0u);  // SZ and Gorilla chunks.
+      EXPECT_GT(result->pushdown_chunks, 0u);  // PMC and Swing chunks.
+    }
+  }
+}
+
 TEST_F(QueryTest, TimeRangeClampsBeforePooling) {
   const std::string dir = BuildCatalog("query_range");
   QueryOptions options;
@@ -302,6 +383,23 @@ TEST_F(QueryTest, MatchFilterAndMissingPairsFailClearly) {
   options.match = "nonexistent";
   EXPECT_EQ(QueryStoreDir(dir, options).status().code(),
             StatusCode::kNotFound);
+}
+
+// A directory named like a store is listed as a series; opening it must
+// fail the query with IoError instead of aborting the process.
+TEST_F(QueryTest, DirectoryNamedLikeAStoreIsAnIoError) {
+  const std::string dir = TempDir("query_dir_entry");
+  WriteStore(dir + "/a.lts", Ramp(0, 50, 1.0, 0.1));
+  ASSERT_EQ(std::system(("mkdir '" + dir + "/x.lts'").c_str()), 0);
+  QueryOptions options;
+  options.aggregates = {"MIN"};
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    Result<QueryResult> result = QueryStoreDir(dir, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+    EXPECT_NE(result.status().message().find("x.lts"), std::string::npos);
+  }
 }
 
 TEST_F(QueryTest, FetchFailpointSurfacesFirstErrorInCanonicalOrder) {

@@ -114,20 +114,21 @@ TEST(StoreConcurrencyTest, AggregateStoresFanOutIsDeterministic) {
   }
   AggregateOptions sequential;
   sequential.jobs = 1;
-  Result<std::vector<AggregateResult>> reference = AggregateStores(
-      pointers, AggregateKind::kMean, 0, 3000 * 60, sequential);
+  Result<std::vector<std::vector<AggregateResult>>> reference =
+      AggregateStores(pointers, {AggregateKind::kMean}, 0, 3000 * 60,
+                      sequential);
   ASSERT_TRUE(reference.ok());
   for (int jobs : {2, 8}) {
     for (auto& reader : readers) reader->ClearChunkCache();
     AggregateOptions parallel;
     parallel.jobs = jobs;
-    Result<std::vector<AggregateResult>> got = AggregateStores(
-        pointers, AggregateKind::kMean, 0, 3000 * 60, parallel);
+    Result<std::vector<std::vector<AggregateResult>>> got = AggregateStores(
+        pointers, {AggregateKind::kMean}, 0, 3000 * 60, parallel);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), reference->size());
     for (size_t i = 0; i < got->size(); ++i) {
-      EXPECT_EQ(0, std::memcmp(&(*got)[i].value, &(*reference)[i].value,
-                               sizeof(double)))
+      EXPECT_EQ(0, std::memcmp(&(*got)[i][0].value,
+                               &(*reference)[i][0].value, sizeof(double)))
           << "store " << i << " jobs " << jobs;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 
 #include "core/rng.h"
 #include "core/split.h"
@@ -242,18 +243,96 @@ TEST(StoreQueryTest, AggregateStoresMatchesPerStoreQueries) {
   for (AggregateKind kind : kAllKinds) {
     AggregateOptions options;
     options.jobs = 4;
-    Result<std::vector<AggregateResult>> fanned =
-        AggregateStores(pointers, kind, t0, t1, options);
+    Result<std::vector<std::vector<AggregateResult>>> fanned =
+        AggregateStores(pointers, {kind}, t0, t1, options);
     ASSERT_TRUE(fanned.ok());
     ASSERT_EQ(fanned->size(), 3u);
     for (size_t i = 0; i < 3; ++i) {
       Result<AggregateResult> single =
           AggregateRange(*pointers[i], kind, t0, t1);
       ASSERT_TRUE(single.ok());
-      EXPECT_EQ(0, std::memcmp(&(*fanned)[i].value, &single->value,
+      ASSERT_EQ((*fanned)[i].size(), 1u);
+      EXPECT_EQ(0, std::memcmp(&(*fanned)[i][0].value, &single->value,
                                sizeof(double)))
           << AggregateKindName(kind) << " store " << i;
-      EXPECT_EQ((*fanned)[i].count, single->count);
+      EXPECT_EQ((*fanned)[i][0].count, single->count);
+    }
+  }
+}
+
+// Four 256-point chunk shapes, twice over, that the default trial codecs
+// split between PMC (near-constant), Swing (ramp), SZ (noisy sine) and
+// Gorilla (a few subnormal values in random order: the lossy bound is
+// useless there, and Gorilla's XOR coding is not).
+TimeSeries MixedCodecSeries() {
+  Rng rng(21);
+  constexpr double kSubnormals[] = {3e-310, 7e-310, 1.1e-309};
+  std::vector<double> v;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 256; ++i) v.push_back(40.0 + 0.01 * rng.Normal());
+    for (int i = 0; i < 256; ++i) v.push_back(10.0 + 0.5 * i);
+    for (int i = 0; i < 256; ++i) {
+      v.push_back(20.0 + 5.0 * std::sin(0.3 * i) + rng.Normal());
+    }
+    for (int i = 0; i < 256; ++i) v.push_back(kSubnormals[rng.UniformInt(3)]);
+  }
+  return TimeSeries(0, 60, std::move(v));
+}
+
+// The one-pass multi-kind aggregate equals one AggregateRange per kind, bit
+// for bit, on full and partial ranges at every jobs value, and counts every
+// selected chunk exactly once.
+TEST(StoreQueryTest, MultiKindPassEqualsPerKindQueries) {
+  StoreOptions options;
+  options.chunk_span = 256;
+  auto reader = Ingest(MixedCodecSeries(), options, "multi_kind.lts");
+  std::set<compress::AlgorithmId> algorithms;
+  for (const ChunkInfo& chunk : reader->chunks()) {
+    algorithms.insert(chunk.algorithm);
+  }
+  ASSERT_EQ(algorithms,
+            (std::set<compress::AlgorithmId>{
+                compress::AlgorithmId::kPmc, compress::AlgorithmId::kSwing,
+                compress::AlgorithmId::kSz, compress::AlgorithmId::kGorilla}));
+
+  const std::vector<AggregateKind> kinds(std::begin(kAllKinds),
+                                         std::end(kAllKinds));
+  const int64_t last = reader->last_timestamp();
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {0, last},                // Every chunk, whole.
+      {100 * 60, 1900 * 60},    // Partial edge chunks of every codec.
+      {300 * 60, 400 * 60},     // Inside one chunk.
+      {-1000, last + 1000}};    // Clamped to the stored extent.
+  for (int jobs : {1, 2, 4}) {
+    for (const auto& [t0, t1] : ranges) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + " range " +
+                   std::to_string(t0) + ".." + std::to_string(t1));
+      AggregateOptions agg_options;
+      agg_options.jobs = jobs;
+      reader->ClearChunkCache();
+      Result<std::vector<AggregateResult>> multi =
+          AggregateRange(*reader, kinds, t0, t1, agg_options);
+      ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+      ASSERT_EQ(multi->size(), kinds.size());
+      Result<StoreReader::Selection> sel = reader->Select(t0, t1);
+      ASSERT_TRUE(sel.ok());
+      for (size_t k = 0; k < kinds.size(); ++k) {
+        reader->ClearChunkCache();
+        Result<AggregateResult> single =
+            AggregateRange(*reader, kinds[k], t0, t1, agg_options);
+        ASSERT_TRUE(single.ok());
+        const AggregateResult& got = (*multi)[k];
+        EXPECT_EQ(0, std::memcmp(&got.value, &single->value, sizeof(double)))
+            << AggregateKindName(kinds[k]);
+        EXPECT_EQ(got.count, single->count);
+        EXPECT_EQ(0, std::memcmp(&got.error_bound, &single->error_bound,
+                                 sizeof(double)))
+            << AggregateKindName(kinds[k]);
+        EXPECT_EQ(got.pushdown_chunks, single->pushdown_chunks);
+        EXPECT_EQ(got.decoded_chunks, single->decoded_chunks);
+        EXPECT_EQ(got.pushdown_chunks + got.decoded_chunks,
+                  sel->last_chunk - sel->first_chunk + 1);
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 // and range reads, and the open/salvage contract (src/store/).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -146,6 +148,49 @@ TEST(StoreTest, CreateValidatesOptions) {
 TEST(StoreTest, OpenMissingFileIsNotFound) {
   EXPECT_EQ(StoreReader::Open(TempPath("nonexistent.lts")).status().code(),
             StatusCode::kNotFound);
+}
+
+// A directory that carries the store suffix opens (open(2) accepts it) but
+// cannot be read as a file: that is an IoError, not a thrown exception.
+TEST(StoreTest, OpenDirectoryIsIoError) {
+  const std::string path = TempPath("a_directory.lts");
+  ::rmdir(path.c_str());
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+  Result<std::unique_ptr<StoreReader>> reader = StoreReader::Open(path);
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  EXPECT_NE(reader.status().message().find(path), std::string::npos);
+  ::rmdir(path.c_str());
+}
+
+TEST(StoreTest, OpenEmptyFileIsCorruption) {
+  const std::string path = TempPath("empty_file.lts");
+  std::ofstream(path, std::ios::binary | std::ios::trunc).close();
+  EXPECT_EQ(StoreReader::Open(path).status().code(),
+            StatusCode::kCorruption);
+}
+
+// SZ and LFZip code a chunk of exact zeros with an empty symbol table; a
+// single-codec store holding such a chunk must read back.
+TEST(StoreTest, AllZeroChunkReadsBackInSingleCodecStores) {
+  std::vector<double> v(2048, 0.0);
+  for (size_t i = 1024; i < v.size(); ++i) {
+    v[i] = 5.0 + std::sin(0.01 * static_cast<double>(i));
+  }
+  const TimeSeries series(0, 60, v);
+  for (const std::string codec : {"SZ", "LFZIP"}) {
+    StoreOptions options;
+    options.codecs = {codec};
+    auto reader = Ingest(series, options, "all_zero_" + codec + ".lts");
+    ASSERT_NE(reader, nullptr);
+    Result<TimeSeries> all = reader->ReadAll();
+    ASSERT_TRUE(all.ok()) << codec << ": " << all.status().ToString();
+    ASSERT_EQ(all->size(), v.size());
+    for (size_t i = 0; i < v.size(); ++i) {
+      const double allowed = options.error_bound * std::fabs(v[i]);
+      ASSERT_LE(std::fabs(all->values()[i] - v[i]), allowed)
+          << codec << " point " << i;
+    }
+  }
 }
 
 TEST(StoreTest, ReadPointMatchesReadAllOnEveryCodecPath) {

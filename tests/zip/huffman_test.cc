@@ -294,6 +294,179 @@ TEST(HuffmanTest, RandomAlphabetRoundTrips) {
   }
 }
 
+// Applies (symbol, length) pairs in order to a dense per-symbol array, as a
+// reader of SZ's table format would.
+std::vector<int> DenseFromPairs(const std::vector<SymbolLength>& pairs,
+                                size_t alphabet) {
+  std::vector<int> lengths(alphabet, 0);
+  for (const SymbolLength& p : pairs) lengths[p.symbol] = p.length;
+  return lengths;
+}
+
+// Length sets of each code class the table builder must tell apart.
+enum class CodeKind { kValid, kOversubscribed, kIncomplete, kSingle, kEmpty,
+                      kBadLength };
+
+// Symbol -> length for one random code of `kind` over `alphabet` symbols.
+std::vector<SymbolLength> RandomCode(CodeKind kind, size_t alphabet,
+                                     Rng& rng) {
+  std::vector<SymbolLength> code;
+  if (kind == CodeKind::kEmpty) return code;
+  if (kind == CodeKind::kSingle) {
+    code.push_back({static_cast<uint32_t>(rng.UniformInt(alphabet)),
+                    1 + static_cast<int>(rng.UniformInt(15))});
+    return code;
+  }
+  // Distinct symbols, clustered around the middle of the alphabet the way
+  // quantization codes are.
+  const size_t used = std::min<size_t>(alphabet, 3 + rng.UniformInt(400));
+  const size_t lo = (alphabet - used) / 2 - std::min((alphabet - used) / 2,
+                                                     rng.UniformInt(64));
+  std::vector<uint64_t> freqs;
+  for (size_t k = 0; k < used; ++k) {
+    freqs.push_back(1 + (rng.UniformInt(4) == 0 ? rng.UniformInt(5000)
+                                                : rng.UniformInt(20)));
+  }
+  Result<std::vector<int>> lengths = BuildCodeLengths(freqs, 15);
+  EXPECT_TRUE(lengths.ok());
+  for (size_t k = 0; k < used; ++k) {
+    code.push_back({static_cast<uint32_t>(lo + k), (*lengths)[k]});
+  }
+  size_t victim = rng.UniformInt(code.size());
+  if (kind == CodeKind::kOversubscribed) {
+    // Shortening a longest code (>= 2 bits in a complete code of >= 3
+    // symbols) pushes the Kraft sum past 1.
+    victim = static_cast<size_t>(
+        std::max_element(code.begin(), code.end(),
+                         [](const SymbolLength& a, const SymbolLength& b) {
+                           return a.length < b.length;
+                         }) -
+        code.begin());
+    code[victim].length -= 1;
+  } else if (kind == CodeKind::kIncomplete) {
+    code.erase(code.begin() + static_cast<std::ptrdiff_t>(victim));
+  } else if (kind == CodeKind::kBadLength) {
+    code[victim].length = 16 + static_cast<int>(rng.UniformInt(240));
+  }
+  return code;
+}
+
+// The code's pairs in a random order, with decoy pairs for some symbols
+// placed before the pair that overrides them and zero-length pairs for
+// unused symbols mixed in.
+std::vector<SymbolLength> ScrambledPairs(const std::vector<SymbolLength>& code,
+                                         size_t alphabet, Rng& rng) {
+  std::vector<std::pair<double, SymbolLength>> keyed;
+  std::vector<bool> in_code(alphabet, false);
+  for (const SymbolLength& p : code) {
+    in_code[p.symbol] = true;
+    const double key = rng.Uniform();
+    keyed.push_back({key, p});
+    if (rng.UniformInt(3) == 0) {
+      // A decoy any length a u8 field can carry, overridden later.
+      keyed.push_back({key * rng.Uniform(),
+                       {p.symbol, static_cast<int>(rng.UniformInt(256))}});
+    }
+  }
+  for (int extra = static_cast<int>(rng.UniformInt(8)); extra > 0; --extra) {
+    const uint32_t s = static_cast<uint32_t>(rng.UniformInt(alphabet));
+    if (!in_code[s]) keyed.push_back({rng.Uniform(), {s, 0}});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<SymbolLength> pairs;
+  for (const auto& [key, p] : keyed) pairs.push_back(p);
+  return pairs;
+}
+
+// Differential check of the pair-based table build: over random codes of
+// every class, given as scrambled pairs, it must give the dense build's
+// status and decode every stream to the dense build's symbols and statuses,
+// and both must agree with the reference bit walk.
+TEST(HuffmanTest, PairBuildMatchesDenseBuild) {
+  Rng rng(2024);
+  const CodeKind kKinds[] = {CodeKind::kValid, CodeKind::kOversubscribed,
+                             CodeKind::kIncomplete, CodeKind::kSingle,
+                             CodeKind::kEmpty, CodeKind::kBadLength};
+  int valid_codes = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const CodeKind kind = kKinds[trial % 6];
+    const size_t alphabet = trial % 4 == 0 ? 65537 : 2 + rng.UniformInt(600);
+    const std::vector<SymbolLength> code = RandomCode(kind, alphabet, rng);
+    const std::vector<SymbolLength> pairs = ScrambledPairs(code, alphabet, rng);
+    const std::vector<int> dense_lengths = DenseFromPairs(pairs, alphabet);
+    ASSERT_EQ(dense_lengths, DenseFromPairs(code, alphabet));
+
+    HuffmanDecoder dense;
+    HuffmanDecoder sparse;
+    const Status a = dense.Init(dense_lengths);
+    const Status b = sparse.Init(pairs, alphabet);
+    ASSERT_EQ(a.ToString(), b.ToString()) << "trial " << trial;
+    if (kind == CodeKind::kValid || kind == CodeKind::kSingle) {
+      ASSERT_TRUE(a.ok()) << "trial " << trial << ": " << a.ToString();
+    } else {
+      ASSERT_FALSE(a.ok()) << "trial " << trial;
+    }
+    if (!a.ok()) continue;
+    ++valid_codes;
+
+    // A message coded with the canonical codes decodes back exactly.
+    const std::vector<uint32_t> codes = CanonicalCodes(dense_lengths);
+    std::vector<int> message;
+    BitWriter writer;
+    for (int i = 0; i < 300; ++i) {
+      const SymbolLength& p = code[rng.UniformInt(code.size())];
+      message.push_back(static_cast<int>(p.symbol));
+      writer.WriteHuffmanCode(codes[p.symbol], p.length);
+    }
+    const std::vector<uint8_t> bytes = writer.Finish();
+    BitReader reader(bytes);
+    for (int expected : message) {
+      Result<int> sym = sparse.Decode(reader);
+      ASSERT_TRUE(sym.ok()) << "trial " << trial;
+      ASSERT_EQ(*sym, expected) << "trial " << trial;
+    }
+
+    // Garbage: the two builds and the bit walk agree step by step.
+    for (int g = 0; g < 4; ++g) {
+      std::vector<uint8_t> garbage(rng.UniformInt(48));
+      for (auto& byte : garbage) byte = static_cast<uint8_t>(rng.UniformInt(256));
+      BitReader r_dense(garbage);
+      BitReader r_sparse(garbage);
+      BitReader r_ref(garbage);
+      for (int step = 0; step < 400; ++step) {
+        Result<int> x = dense.Decode(r_dense);
+        Result<int> y = sparse.Decode(r_sparse);
+        Result<int> z = sparse.DecodeReference(r_ref);
+        ASSERT_EQ(x.ok(), y.ok()) << "trial " << trial << " step " << step;
+        ASSERT_EQ(x.ok(), z.ok()) << "trial " << trial << " step " << step;
+        if (!x.ok()) {
+          ASSERT_EQ(x.status().code(), y.status().code());
+          ASSERT_EQ(x.status().code(), z.status().code());
+          break;
+        }
+        ASSERT_EQ(*x, *y) << "trial " << trial << " step " << step;
+        ASSERT_EQ(*x, *z) << "trial " << trial << " step " << step;
+      }
+    }
+  }
+  EXPECT_GE(valid_codes, 150);
+}
+
+TEST(HuffmanTest, PairBuildRejectsSymbolPastAlphabetAndLongLengths) {
+  HuffmanDecoder decoder;
+  Status s = decoder.Init({{0, 1}, {3, 1}}, 3);
+  EXPECT_EQ(s.ToString(), "Corruption: Huffman symbol out of range");
+  s = decoder.Init({{0, 1}, {1, 16}}, 3);
+  EXPECT_EQ(s.ToString(), "Corruption: invalid Huffman code length");
+  // The last pair for a symbol decides, so an overridden bad length is fine.
+  EXPECT_TRUE(decoder.Init({{1, 16}, {0, 1}, {1, 1}}, 3).ok());
+  EXPECT_EQ(decoder.Init({}, 3).ToString(),
+            "Corruption: empty Huffman alphabet");
+  EXPECT_EQ(decoder.Init({{0, 1}, {1, 1}}, (1u << 17) + 1).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // SZ and LFZip carry their Huffman table as (u32 symbol, u8 length) pairs.
 // Each mutant below damages that table in one way; the decode status (or,
 // for a table that still decodes, whether the values stay the same) is pinned
