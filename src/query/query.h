@@ -71,7 +71,8 @@ struct QueryResult {
   /// Rows sorted by group name — the canonical order that makes the result
   /// byte-identical for every --jobs value.
   std::vector<GroupRow> rows;
-  /// Pushdown effectiveness over the aggregate path (summed store counters).
+  /// Pushdown effectiveness over the aggregate path, summed over the
+  /// stores. Each selected chunk counts once, as pushed down or decoded.
   uint64_t pushdown_chunks = 0;
   uint64_t decoded_chunks = 0;
 };

@@ -119,8 +119,10 @@ serve_smoke() {
 # Grouped-query smoke, run in every leg: build a directory of store pairs
 # (`<name>.lts` + `<name>.pred.lts`), run the same grouped-metric query at
 # --jobs 1 and --jobs 4, and require byte-identical output — the query
-# layer's determinism contract, here sanitizer-checked as well. Also runs an
-# aggregate-only query, which must be answerable by segment pushdown alone.
+# layer's determinism contract, here sanitizer-checked as well. The PMC and
+# Swing pairs are answered by segment pushdown; the SZ pair makes both
+# queries decode SZ chunks, and the aggregate-only query take the
+# decode-fallback path, so that code runs under every sanitizer too.
 query_smoke() {
   local dir="$1"
   local bin="${dir}/tools/lossyts"
@@ -133,18 +135,26 @@ query_smoke() {
     "${bin}" store ingest SWING 0.10 Solar \
       "${qdir}/solar_${s}.pred.lts" >/dev/null
   done
-  "${bin}" query "${qdir}" --metrics mae,rmse,smape,bias,pinball@0.9 \
-    --agg MEAN,COUNT --group-by prefix >"${qdir}/j1.txt" 2>/dev/null
-  "${bin}" query "${qdir}" --metrics mae,rmse,smape,bias,pinball@0.9 \
-    --agg MEAN,COUNT --group-by prefix --jobs 4 >"${qdir}/j4.txt" 2>/dev/null
-  if ! cmp -s "${qdir}/j1.txt" "${qdir}/j4.txt"; then
-    echo "query_smoke: --jobs 1 vs --jobs 4 outputs differ"
-    diff "${qdir}/j1.txt" "${qdir}/j4.txt" || true
-    return 1
-  fi
-  "${bin}" query "${qdir}" --agg MIN,MAX,MEAN --group-by all >/dev/null
+  "${bin}" store ingest SZ 0.05 Solar "${qdir}/sz_north.lts" >/dev/null
+  "${bin}" store ingest SZ 0.10 Solar "${qdir}/sz_north.pred.lts" >/dev/null
+  local jobs
+  for jobs in 1 4; do
+    "${bin}" query "${qdir}" --metrics mae,rmse,smape,bias,pinball@0.9 \
+      --agg MEAN,COUNT --group-by prefix --jobs "${jobs}" \
+      >"${qdir}/j${jobs}.txt" 2>/dev/null
+    "${bin}" query "${qdir}" --agg MIN,MAX,MEAN --group-by series \
+      --jobs "${jobs}" >"${qdir}/agg_j${jobs}.txt" 2>/dev/null
+  done
+  local out
+  for out in j agg_j; do
+    if ! cmp -s "${qdir}/${out}1.txt" "${qdir}/${out}4.txt"; then
+      echo "query_smoke: --jobs 1 vs --jobs 4 outputs differ (${out})"
+      diff "${qdir}/${out}1.txt" "${qdir}/${out}4.txt" || true
+      return 1
+    fi
+  done
   echo "query_smoke: deterministic across jobs" \
-    "($(wc -l <"${qdir}/j1.txt") lines)"
+    "($(wc -l <"${qdir}/j1.txt") + $(wc -l <"${qdir}/agg_j1.txt") lines)"
 }
 
 # Scalar-vs-SIMD byte-identity, run in every leg (including the filtered
