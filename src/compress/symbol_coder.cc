@@ -18,46 +18,25 @@ struct CompactAlphabet {
   std::vector<uint32_t> index;  ///< Per stream position.
 };
 
+// Counts over the span the symbols occupy, then numbers the used ones in
+// ascending order. The span is at most the alphabet, and for quantization
+// codes usually far less: only an escape symbol stretches it that far.
 CompactAlphabet Compact(const std::vector<int>& symbols) {
   CompactAlphabet out;
   if (symbols.empty()) return out;
   const auto [lo_it, hi_it] = std::minmax_element(symbols.begin(),
                                                   symbols.end());
   const int lo = *lo_it;
-  const size_t span = static_cast<size_t>(*hi_it - lo) + 1;
-  out.index.resize(symbols.size());
-  if (span <= 8 * symbols.size()) {
-    // Count over the span the symbols occupy, then number the used ones.
-    std::vector<uint32_t> slot(span, 0);
-    for (int s : symbols) ++slot[static_cast<size_t>(s - lo)];
-    for (size_t d = 0; d < span; ++d) {
-      if (slot[d] == 0) continue;
-      out.symbols.push_back(lo + static_cast<int>(d));
-      out.freqs.push_back(slot[d]);
-      slot[d] = static_cast<uint32_t>(out.symbols.size() - 1);
-    }
-    for (size_t i = 0; i < symbols.size(); ++i) {
-      out.index[i] = slot[static_cast<size_t>(symbols[i] - lo)];
-    }
-    return out;
+  std::vector<uint32_t> slot(static_cast<size_t>(*hi_it - lo) + 1, 0);
+  for (int s : symbols) ++slot[static_cast<size_t>(s - lo)];
+  for (size_t d = 0; d < slot.size(); ++d) {
+    if (slot[d] == 0) continue;
+    out.symbols.push_back(lo + static_cast<int>(d));
+    out.freqs.push_back(slot[d]);
+    slot[d] = static_cast<uint32_t>(out.symbols.size() - 1);
   }
-  // A few symbols spread thin over a wide span (an escape far from the
-  // rest, say): sort instead of counting the span.
-  std::vector<int> sorted(symbols);
-  std::sort(sorted.begin(), sorted.end());
-  for (int s : sorted) {
-    if (!out.symbols.empty() && out.symbols.back() == s) {
-      ++out.freqs.back();
-    } else {
-      out.symbols.push_back(s);
-      out.freqs.push_back(1);
-    }
-  }
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    out.index[i] = static_cast<uint32_t>(
-        std::lower_bound(out.symbols.begin(), out.symbols.end(), symbols[i]) -
-        out.symbols.begin());
-  }
+  out.index.reserve(symbols.size());
+  for (int s : symbols) out.index.push_back(slot[static_cast<size_t>(s - lo)]);
   return out;
 }
 

@@ -47,7 +47,7 @@ class HuffmanDecoder {
   Status Init(const std::vector<int>& lengths);
 
   /// Initializes from (symbol, length) pairs over an alphabet of
-  /// `alphabet_size` symbols, in time linear in the pairs rather than the
+  /// `alphabet_size` symbols, in time that depends on the pairs, not on the
   /// alphabet. The pairs resolve exactly as writing them in order into a
   /// dense per-symbol array would: any order is accepted, a repeated symbol
   /// takes its last length, and a zero length leaves the symbol unused. A
