@@ -453,20 +453,22 @@ Result<QueryResult> QueryStoreDir(const std::string& dir,
       out.aggregate.count = selection->count;
       if (selection->count == 0) return;
       // One pass over the chunks answers all three kinds.
-      Result<std::vector<store::AggregateResult>> r = store::AggregateRange(
-          **reader,
-          {store::AggregateKind::kMin, store::AggregateKind::kMax,
-           store::AggregateKind::kSum},
-          options.t0, options.t1);
+      Result<std::vector<std::vector<store::AggregateResult>>> r =
+          store::AggregateStores({reader->get()},
+                                 {store::AggregateKind::kMin,
+                                  store::AggregateKind::kMax,
+                                  store::AggregateKind::kSum},
+                                 options.t0, options.t1);
       if (!r.ok()) {
         out.status = r.status();
         return;
       }
-      out.aggregate.min = (*r)[0].value;
-      out.aggregate.max = (*r)[1].value;
-      out.aggregate.sum = (*r)[2].value;
-      out.pushdown_chunks = (*r)[0].pushdown_chunks;
-      out.decoded_chunks = (*r)[0].decoded_chunks;
+      const std::vector<store::AggregateResult>& kinds = (*r)[0];
+      out.aggregate.min = kinds[0].value;
+      out.aggregate.max = kinds[1].value;
+      out.aggregate.sum = kinds[2].value;
+      out.pushdown_chunks = kinds[0].pushdown_chunks;
+      out.decoded_chunks = kinds[0].decoded_chunks;
     });
   }
   pool.Wait();

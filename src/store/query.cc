@@ -192,20 +192,10 @@ Result<AggregateResult> AggregateRange(const StoreReader& reader,
                                        AggregateKind kind, int64_t t0,
                                        int64_t t1,
                                        const AggregateOptions& options) {
-  Result<std::vector<AggregateResult>> results =
-      AggregateRange(reader, std::vector<AggregateKind>{kind}, t0, t1, options);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<std::vector<AggregateResult>> AggregateRange(
-    const StoreReader& reader, const std::vector<AggregateKind>& kinds,
-    int64_t t0, int64_t t1, const AggregateOptions& options) {
-  std::vector<const StoreReader*> readers = {&reader};
   Result<std::vector<std::vector<AggregateResult>>> results =
-      AggregateStores(readers, kinds, t0, t1, options);
+      AggregateStores({&reader}, {kind}, t0, t1, options);
   if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
+  return std::move((*results)[0][0]);
 }
 
 Result<std::vector<std::vector<AggregateResult>>> AggregateStores(

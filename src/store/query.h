@@ -54,19 +54,13 @@ Result<AggregateResult> AggregateRange(const StoreReader& reader,
                                        int64_t t1,
                                        const AggregateOptions& options = {});
 
-/// Several aggregates over one selection from one pass: each chunk's
-/// partial is computed once and merged, in canonical chunk order, into
-/// every kind. results[k] equals AggregateRange(reader, kinds[k], ...) in
-/// value, count and error bound, bit for bit. The chunk counters describe
-/// the one pass, so every result carries the same counts.
-Result<std::vector<AggregateResult>> AggregateRange(
-    const StoreReader& reader, const std::vector<AggregateKind>& kinds,
-    int64_t t0, int64_t t1, const AggregateOptions& options = {});
-
-/// Multi-series fan-out: evaluates the same aggregates over every store on
-/// one shared pool (per-(store, chunk) tasks), returning, in input order,
-/// one result per kind for each store. Equivalent to calling the
-/// multi-kind AggregateRange per store, just better parallelised.
+/// Multi-series, multi-kind fan-out: evaluates every kind over every store
+/// on one shared pool (per-(store, chunk) tasks) and returns, in input
+/// order, one result per kind for each store. Each chunk's partial is
+/// computed once and merged, in canonical chunk order, into every kind, so
+/// results[s][k] equals AggregateRange(*readers[s], kinds[k], ...) in value,
+/// count and error bound, bit for bit. The chunk counters describe that one
+/// pass, so a store's results all carry the same counts.
 Result<std::vector<std::vector<AggregateResult>>> AggregateStores(
     const std::vector<const StoreReader*>& readers,
     const std::vector<AggregateKind>& kinds, int64_t t0, int64_t t1,

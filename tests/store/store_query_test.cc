@@ -310,10 +310,11 @@ TEST(StoreQueryTest, MultiKindPassEqualsPerKindQueries) {
       AggregateOptions agg_options;
       agg_options.jobs = jobs;
       reader->ClearChunkCache();
-      Result<std::vector<AggregateResult>> multi =
-          AggregateRange(*reader, kinds, t0, t1, agg_options);
+      Result<std::vector<std::vector<AggregateResult>>> multi =
+          AggregateStores({reader.get()}, kinds, t0, t1, agg_options);
       ASSERT_TRUE(multi.ok()) << multi.status().ToString();
-      ASSERT_EQ(multi->size(), kinds.size());
+      ASSERT_EQ(multi->size(), 1u);
+      ASSERT_EQ((*multi)[0].size(), kinds.size());
       Result<StoreReader::Selection> sel = reader->Select(t0, t1);
       ASSERT_TRUE(sel.ok());
       for (size_t k = 0; k < kinds.size(); ++k) {
@@ -321,7 +322,7 @@ TEST(StoreQueryTest, MultiKindPassEqualsPerKindQueries) {
         Result<AggregateResult> single =
             AggregateRange(*reader, kinds[k], t0, t1, agg_options);
         ASSERT_TRUE(single.ok());
-        const AggregateResult& got = (*multi)[k];
+        const AggregateResult& got = (*multi)[0][k];
         EXPECT_EQ(0, std::memcmp(&got.value, &single->value, sizeof(double)))
             << AggregateKindName(kinds[k]);
         EXPECT_EQ(got.count, single->count);
