@@ -2,10 +2,16 @@
 #define LOSSYTS_BENCH_BENCH_COMMON_H_
 
 // Shared configuration for the per-table/per-figure bench binaries. Every
-// forecasting bench uses the same GridOptions (and thus the same CSV cache),
-// so the expensive model-training sweep runs once no matter which bench is
-// executed first; likewise for the compression-only sweep.
+// forecasting bench uses the same GridOptions (and thus the same checkpoint
+// cache), so the expensive model-training sweep runs once no matter which
+// bench is executed first. The compression-only sweep takes under a second
+// and is recomputed by each bench that needs it. The micro_* benches share
+// the flag, timing and series helpers at the end of this header.
 
+#include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,11 +48,11 @@ inline eval::SweepOptions DefaultSweepOptions() {
   return options;
 }
 
-/// Cache flags shared by every bench:
+/// Cache flags shared by every grid-consuming bench:
 ///   --resume        salvage and resume a partial grid checkpoint (default)
 ///   --fresh         delete the checkpoint and recompute from scratch
 ///   --cache <path>  checkpoint location (default DefaultGridCachePath())
-///   --jobs N        worker threads for the sweep (1 = sequential, 0 = all
+///   --jobs N        worker threads for the grid (1 = sequential, 0 = all
 ///                   hardware threads); output is identical for every N
 struct BenchFlags {
   bool fresh = false;
@@ -104,18 +110,6 @@ inline Result<std::vector<eval::GridRecord>> LoadBenchGrid(int argc,
     if (!r.failed()) ok_records.push_back(std::move(r));
   }
   return ok_records;
-}
-
-/// Loads the canonical compression sweep for a bench binary, honoring
-/// --fresh / --jobs (the sweep cache lives at DefaultSweepCachePath()).
-inline Result<std::vector<eval::SweepRecord>> LoadBenchSweep(int argc,
-                                                             char** argv) {
-  const BenchFlags flags = ParseBenchFlags(argc, argv);
-  const std::string cache_path = eval::DefaultSweepCachePath();
-  if (flags.fresh) std::remove(cache_path.c_str());
-  eval::SweepOptions options = DefaultSweepOptions();
-  options.jobs = flags.jobs;
-  return eval::LoadOrRunSweep(options, cache_path);
 }
 
 /// Mean TFE per (dataset, compressor, error bound) across models and seeds.
@@ -244,6 +238,51 @@ inline double MeanDetectionDelay(const std::vector<size_t>& alarms,
   }
   if (detected != nullptr) *detected = hits;
   return hits == 0 ? -1.0 : total / static_cast<double>(hits);
+}
+
+// --- Shared micro-bench helpers --------------------------------------------
+
+/// Milliseconds elapsed since `start`.
+inline double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Value of the first `flag N` pair on the command line, or `fallback` when
+/// `flag` is absent. A missing value, one that is not a decimal integer, a
+/// negative one or one past INT_MAX prints a usage line naming the flag and
+/// exits with status 2.
+inline int ParseIntFlag(int argc, char** argv, const char* flag,
+                        int fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value > INT_MAX) {
+      std::fprintf(stderr,
+                   "usage: %s %s <non-negative integer> (got '%s')\n",
+                   argv[0], flag, text);
+      std::exit(2);
+    }
+    return static_cast<int>(value);
+  }
+  return fallback;
+}
+
+/// Seeded Gaussian random walk of `n` points from 100 at a 60 s interval.
+inline TimeSeries MakeRandomWalkSeries(size_t n) {
+  Rng rng(42);
+  std::vector<double> v(n);
+  double x = 100.0;
+  for (auto& val : v) {
+    x += 0.1 * rng.Normal();
+    val = x;
+  }
+  return TimeSeries(0, 60, std::move(v));
 }
 
 }  // namespace lossyts::bench

@@ -9,9 +9,9 @@
 
 using namespace lossyts;
 
-int main(int argc, char** argv) {
+int main() {
   Result<std::vector<eval::SweepRecord>> sweep =
-      bench::LoadBenchSweep(argc, argv);
+      eval::RunCompressionSweep(bench::DefaultSweepOptions());
   if (!sweep.ok()) {
     std::fprintf(stderr, "sweep: %s\n", sweep.status().ToString().c_str());
     return 1;

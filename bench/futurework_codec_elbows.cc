@@ -16,13 +16,12 @@
 // Usage: futurework_codec_elbows [--jobs N] (default 2)
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/kneedle.h"
+#include "bench_common.h"
 #include "compress/pipeline.h"
 #include "eval/grid.h"
 #include "eval/report.h"
@@ -136,17 +135,10 @@ int FindElbowIndex(const std::vector<BoundPoint>& curve) {
   return best;
 }
 
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int jobs = ParseIntFlag(argc, argv, "--jobs", 2);
+  const int jobs = bench::ParseIntFlag(argc, argv, "--jobs", 2);
 
   // Reference run at --jobs 1, then the parallel run; the grid contract says
   // scheduling must not leak into the records, and FormatGridRow prints the

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "compress/cameo.h"
 #include "compress/chimp.h"
 #include "compress/compressor.h"
@@ -44,31 +45,11 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using lossyts::bench::MakeRandomWalkSeries;
+using lossyts::bench::MsSince;
+using lossyts::bench::ParseIntFlag;
 using lossyts::Result;
 using lossyts::TimeSeries;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-TimeSeries MakeSeries(size_t n) {
-  lossyts::Rng rng(42);
-  std::vector<double> v(n);
-  double x = 100.0;
-  for (auto& val : v) {
-    x += 0.1 * rng.Normal();
-    val = x;
-  }
-  return TimeSeries(0, 60, std::move(v));
-}
 
 uint64_t DoubleToBits(double v) {
   uint64_t bits;
@@ -482,7 +463,7 @@ int main(int argc, char** argv) {
     if (std::atof(env) > 0) floor = std::atof(env);
   }
 
-  const TimeSeries series = MakeSeries(static_cast<size_t>(points));
+  const TimeSeries series = MakeRandomWalkSeries(static_cast<size_t>(points));
   bool ok = true;
   ok &= CheckCodec<lossyts::compress::GorillaCompressor>(
       "GORILLA", series, reps, floor, ReferenceGorillaEncode,

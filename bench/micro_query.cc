@@ -20,10 +20,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "query/query.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -32,21 +32,11 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using lossyts::bench::MsSince;
+using lossyts::bench::ParseIntFlag;
 using lossyts::Result;
 using lossyts::Status;
 using lossyts::TimeSeries;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
 
 /// Smooth slow sine with a per-series phase: PMC at a loose bound collapses
 /// it to a handful of segments per chunk, which is what gives the pushdown

@@ -22,20 +22,18 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using lossyts::bench::MsSince;
+using lossyts::bench::ParseIntFlag;
 using lossyts::serve::Client;
 using lossyts::serve::Daemon;
 using lossyts::serve::DaemonOptions;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 double Percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
@@ -187,13 +185,6 @@ WorkloadResult RunWorkload(int jobs, int writers, int batches, int points) {
   }
   if (!(*daemon)->Stop().ok()) result.ok = false;
   return result;
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ namespace lossyts::eval {
 namespace {
 
 constexpr char kManifestPrefixV2[] = "#lossyts-grid-checkpoint v2 options=";
-constexpr char kManifestPrefixV1[] = "#lossyts-grid-checkpoint v1 options=";
 constexpr char kMetricsField[] = " metrics=";
 constexpr char kCompleteFooter[] = "#complete";
 
@@ -145,67 +144,30 @@ Result<GridCheckpoint> LoadGridCheckpoint(
   if (!std::getline(file, line)) {
     return Status::Corruption(path + " is empty");
   }
-  const bool pinned_only = metric_names == PinnedForecastMetrics();
-
   GridCheckpoint checkpoint;
-  const bool v2 = line.rfind(kManifestPrefixV2, 0) == 0;
-  const bool v1 = !v2 && line.rfind(kManifestPrefixV1, 0) == 0;
-  if (!v2 && !v1) {
-    // Pre-checkpoint cache: a plain CSV written by SaveGridCsv. Treat a
-    // clean parse as a complete sweep so existing caches keep working —
-    // but only for the four metrics its columns can carry.
-    file.close();
-    if (!pinned_only) {
-      checkpoint.compatible = false;
-      checkpoint.reason =
-          "legacy CSV cache carries only r/rse/rmse/nrmse and cannot serve "
-          "a sweep with extra metrics (" +
-          JoinMetricNames(metric_names) + ")";
-      return checkpoint;
-    }
-    Result<std::vector<GridRecord>> legacy = LoadGridCsv(path);
-    if (!legacy.ok()) return legacy.status();
-    checkpoint.records = std::move(*legacy);
-    checkpoint.complete = true;
-    checkpoint.legacy = true;
+  if (line.rfind(kManifestPrefixV2, 0) != 0) {
+    checkpoint.compatible = false;
+    checkpoint.reason = "no v2 checkpoint manifest";
     return checkpoint;
   }
-
-  const size_t prefix_len =
-      v2 ? std::strlen(kManifestPrefixV2) : std::strlen(kManifestPrefixV1);
   char* end = nullptr;
-  const std::string rest = line.substr(prefix_len);
+  const std::string rest = line.substr(std::strlen(kManifestPrefixV2));
   const unsigned long stored = std::strtoul(rest.c_str(), &end, 16);
   if (end == rest.c_str() || static_cast<uint32_t>(stored) != options_hash) {
     checkpoint.compatible = false;
     checkpoint.reason = "manifest options hash does not match this sweep";
     return checkpoint;
   }
-  if (v1) {
-    // v1 checkpoints carry exactly the pinned four metric columns. They
-    // resume cleanly for a pinned-four sweep and are rejected with a clear
-    // reason otherwise — never silently misparsed.
-    if (!pinned_only) {
-      checkpoint.compatible = false;
-      checkpoint.reason =
-          "v1 checkpoint carries only r/rse/rmse/nrmse and cannot serve a "
-          "sweep with extra metrics (" +
-          JoinMetricNames(metric_names) + ")";
-      return checkpoint;
-    }
-  } else {
-    const size_t at = rest.find(kMetricsField);
-    const std::string stored_metrics =
-        at == std::string::npos
-            ? std::string()
-            : rest.substr(at + std::strlen(kMetricsField));
-    if (stored_metrics != JoinMetricNames(metric_names)) {
-      checkpoint.compatible = false;
-      checkpoint.reason = "checkpoint computes metrics [" + stored_metrics +
-                          "]; this sweep needs [" +
-                          JoinMetricNames(metric_names) + "]";
-      return checkpoint;
-    }
+  const size_t at = rest.find(kMetricsField);
+  const std::string stored_metrics =
+      at == std::string::npos ? std::string()
+                              : rest.substr(at + std::strlen(kMetricsField));
+  if (stored_metrics != JoinMetricNames(metric_names)) {
+    checkpoint.compatible = false;
+    checkpoint.reason = "checkpoint computes metrics [" + stored_metrics +
+                        "]; this sweep needs [" +
+                        JoinMetricNames(metric_names) + "]";
+    return checkpoint;
   }
 
   while (std::getline(file, line)) {

@@ -27,15 +27,13 @@ namespace lossyts::eval {
 // sweep mid-write — is detected and dropped while every earlier row is
 // salvaged. The manifest hash ties the file to the exact GridOptions that
 // produced it; resuming under different options would silently mix
-// incompatible sweeps. The v2 manifest additionally records the sweep's
-// resolved metric-name list, so rows are only salvaged into a sweep that
-// computes the same metric vector.
+// incompatible sweeps. The manifest also records the sweep's resolved
+// metric-name list, so rows are only salvaged into a sweep that computes the
+// same metric vector.
 //
-// Compatibility: v1 manifests ("#lossyts-grid-checkpoint v1 options=<hex>",
-// fixed r/rse/rmse/nrmse columns) resume cleanly when the requested metrics
-// are exactly the pinned four, and are rejected with a clear reason — never
-// silently misparsed — when the sweep asks for more. Plain pre-checkpoint
-// CSV caches behave the same way.
+// This is the only grid cache format. A file without a v2 manifest (an
+// older v1 checkpoint or plain CSV cache, or anything else) loads as
+// incompatible with a reason, and LoadOrRunGrid recomputes it.
 
 /// Hash over every GridOptions field that affects the produced records
 /// (resolved dataset/model/compressor/error-bound/seed lists plus the data,
@@ -48,19 +46,17 @@ uint32_t GridOptionsHash(const GridOptions& options);
 struct GridCheckpoint {
   std::vector<GridRecord> records;  ///< Valid rows, in file order.
   bool complete = false;            ///< The "#complete" footer was present.
-  bool compatible = true;  ///< Manifest hash and metric list both matched.
-  bool legacy = false;     ///< Plain pre-checkpoint CSV cache.
-  std::string reason;      ///< Why `compatible` is false, for the user.
+  /// A v2 manifest whose hash and metric list both matched.
+  bool compatible = true;
+  std::string reason;  ///< Why `compatible` is false, for the user.
 };
 
 /// Reads a checkpoint, salvaging every row whose CRC frame verifies; the
 /// first torn or corrupt row — or a row whose metric arity does not match
 /// `metric_names` — ends the scan and everything before it survives.
 /// `metric_names` is the resuming sweep's resolved metric list
-/// (ResolveMetricNames). Plain CSV caches (no manifest line) are parsed
-/// with LoadGridCsv and reported as complete legacy sweeps, provided the
-/// sweep requests exactly the pinned four metrics. NotFound when the file
-/// does not exist.
+/// (ResolveMetricNames). NotFound when the file does not exist, Corruption
+/// when it is empty.
 Result<GridCheckpoint> LoadGridCheckpoint(
     const std::string& path, uint32_t options_hash,
     const std::vector<std::string>& metric_names = PinnedForecastMetrics());

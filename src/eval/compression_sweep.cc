@@ -1,67 +1,30 @@
 #include "eval/compression_sweep.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "compress/pipeline.h"
 #include "core/progress.h"
-#include "core/thread_pool.h"
 
 namespace lossyts::eval {
 
 namespace {
 
-// One dataset's slice of the sweep: generation plus every (compressor,
-// bound) transform, written into a pre-sized slot range so the parallel
-// sweep emits records in the same canonical order as the sequential one.
-Status SweepOneDataset(const std::string& dataset_name,
-                       const SweepOptions& options,
-                       const std::vector<double>& error_bounds,
-                       SweepRecord* out) {
-  Result<data::Dataset> dataset = data::MakeDataset(dataset_name, options.data);
-  if (!dataset.ok()) return dataset.status();
-  if (options.verbose) {
-    Progress::Printf("[sweep] compressing %s (%zu points)\n",
-                     dataset_name.c_str(), dataset->series.size());
-  }
-
-  for (const std::string& compressor_name : compress::LossyCompressorNames()) {
-    Result<std::unique_ptr<compress::Compressor>> compressor =
-        compress::MakeCompressor(compressor_name);
-    if (!compressor.ok()) return compressor.status();
-    for (double eb : error_bounds) {
-      Result<compress::PipelineResult> result =
-          compress::RunPipeline(**compressor, dataset->series, eb);
-      if (!result.ok()) return result.status();
-      SweepRecord& rec = *out++;
-      rec.dataset = dataset_name;
-      rec.compressor = compressor_name;
-      rec.error_bound = eb;
-      rec.te_nrmse = result->te_nrmse;
-      rec.te_rmse = result->te_rmse;
-      rec.compression_ratio = result->compression_ratio;
-      rec.segment_count = static_cast<double>(result->segment_count);
-      rec.raw_gz_bytes = static_cast<double>(result->raw_gz_bytes);
-      rec.gz_bytes = static_cast<double>(result->gz_bytes);
-    }
-  }
-
-  if (options.include_gorilla) {
-    Result<std::unique_ptr<compress::Compressor>> gorilla =
-        compress::MakeCompressor("GORILLA");
-    if (!gorilla.ok()) return gorilla.status();
-    Result<compress::PipelineResult> result =
-        compress::RunPipeline(**gorilla, dataset->series, 0.0);
-    if (!result.ok()) return result.status();
-    SweepRecord& rec = *out;
-    rec.dataset = dataset_name;
-    rec.compressor = "GORILLA";
-    rec.compression_ratio = result->compression_ratio;
-    rec.segment_count = static_cast<double>(result->segment_count);
-    rec.raw_gz_bytes = static_cast<double>(result->raw_gz_bytes);
-    rec.gz_bytes = static_cast<double>(result->gz_bytes);
-  }
+// Compresses `series` with `compressor_name` at `eb` and appends its record.
+Status AddRecord(const std::string& dataset_name, const TimeSeries& series,
+                 const std::string& compressor_name, double eb,
+                 std::vector<SweepRecord>& records) {
+  Result<std::unique_ptr<compress::Compressor>> compressor =
+      compress::MakeCompressor(compressor_name);
+  if (!compressor.ok()) return compressor.status();
+  Result<compress::PipelineResult> result =
+      compress::RunPipeline(**compressor, series, eb);
+  if (!result.ok()) return result.status();
+  SweepRecord& rec = records.emplace_back();
+  rec.dataset = dataset_name;
+  rec.compressor = compressor_name;
+  rec.error_bound = eb;
+  rec.te_nrmse = result->te_nrmse;
+  rec.te_rmse = result->te_rmse;
+  rec.compression_ratio = result->compression_ratio;
+  rec.segment_count = static_cast<double>(result->segment_count);
   return Status::OK();
 }
 
@@ -75,92 +38,32 @@ Result<std::vector<SweepRecord>> RunCompressionSweep(
       options.error_bounds.empty() ? compress::PaperErrorBounds()
                                    : options.error_bounds;
 
-  const size_t per_dataset =
-      compress::LossyCompressorNames().size() * error_bounds.size() +
-      (options.include_gorilla ? 1 : 0);
-  std::vector<SweepRecord> records(datasets.size() * per_dataset);
-  std::vector<Status> status(datasets.size());
-
-  ThreadPool pool(options.jobs);
-  for (size_t di = 0; di < datasets.size(); ++di) {
-    pool.Submit([&, di] {
-      status[di] = SweepOneDataset(datasets[di], options, error_bounds,
-                                   records.data() + di * per_dataset);
-    });
-  }
-  pool.Wait();
-
-  // The first failing dataset in canonical order wins, matching the
-  // sequential implementation's first-encountered error.
-  for (const Status& s : status) {
-    if (!s.ok()) return s;
-  }
-  return records;
-}
-
-Status SaveSweepCsv(const std::vector<SweepRecord>& records,
-                    const std::string& path) {
-  std::ofstream file(path);
-  if (!file.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  file << "dataset,compressor,error_bound,te_nrmse,te_rmse,"
-          "compression_ratio,segment_count,raw_gz_bytes,gz_bytes\n";
-  file.precision(12);
-  for (const SweepRecord& r : records) {
-    file << r.dataset << ',' << r.compressor << ',' << r.error_bound << ','
-         << r.te_nrmse << ',' << r.te_rmse << ',' << r.compression_ratio
-         << ',' << r.segment_count << ',' << r.raw_gz_bytes << ','
-         << r.gz_bytes << '\n';
-  }
-  if (!file.good()) return Status::IoError("write to " + path + " failed");
-  return Status::OK();
-}
-
-Result<std::vector<SweepRecord>> LoadSweepCsv(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) {
-    return Status::NotFound("no sweep cache at " + path);
-  }
-  std::string line;
-  if (!std::getline(file, line)) {
-    return Status::Corruption(path + " is empty");
-  }
   std::vector<SweepRecord> records;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    std::stringstream row(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() != 9) {
-      return Status::Corruption(path + ": malformed row: " + line);
+  for (const std::string& dataset_name : datasets) {
+    Result<data::Dataset> dataset =
+        data::MakeDataset(dataset_name, options.data);
+    if (!dataset.ok()) return dataset.status();
+    if (options.verbose) {
+      Progress::Printf("[sweep] compressing %s (%zu points)\n",
+                       dataset_name.c_str(), dataset->series.size());
     }
-    SweepRecord r;
-    r.dataset = fields[0];
-    r.compressor = fields[1];
-    r.error_bound = std::stod(fields[2]);
-    r.te_nrmse = std::stod(fields[3]);
-    r.te_rmse = std::stod(fields[4]);
-    r.compression_ratio = std::stod(fields[5]);
-    r.segment_count = std::stod(fields[6]);
-    r.raw_gz_bytes = std::stod(fields[7]);
-    r.gz_bytes = std::stod(fields[8]);
-    records.push_back(std::move(r));
+    for (const std::string& name : compress::LossyCompressorNames()) {
+      for (double eb : error_bounds) {
+        if (Status s = AddRecord(dataset_name, dataset->series, name, eb,
+                                 records);
+            !s.ok()) {
+          return s;
+        }
+      }
+    }
+    // GORILLA at eb = 0: the lossless baseline.
+    if (Status s =
+            AddRecord(dataset_name, dataset->series, "GORILLA", 0.0, records);
+        !s.ok()) {
+      return s;
+    }
   }
   return records;
 }
-
-Result<std::vector<SweepRecord>> LoadOrRunSweep(const SweepOptions& options,
-                                                const std::string& path) {
-  Result<std::vector<SweepRecord>> cached = LoadSweepCsv(path);
-  if (cached.ok()) return cached;
-  Result<std::vector<SweepRecord>> records = RunCompressionSweep(options);
-  if (!records.ok()) return records.status();
-  if (Status s = SaveSweepCsv(*records, path); !s.ok()) return s;
-  return records;
-}
-
-std::string DefaultSweepCachePath() { return "lossyts_sweep_cache.csv"; }
 
 }  // namespace lossyts::eval

@@ -21,37 +21,23 @@ struct SweepRecord {
   double te_rmse = 0.0;
   double compression_ratio = 0.0;
   double segment_count = 0.0;
-  double raw_gz_bytes = 0.0;
-  double gz_bytes = 0.0;
 };
 
 struct SweepOptions {
   std::vector<std::string> datasets;  // Empty = all six.
   std::vector<double> error_bounds;   // Empty = the paper's 13 bounds.
   data::DatasetOptions data;
-  bool include_gorilla = true;
   bool verbose = false;
-  /// Worker threads (one task per dataset). 1 = sequential, 0 = hardware
-  /// concurrency. Records are slot-indexed, so the output is identical for
-  /// every value.
-  int jobs = 1;
 
   SweepOptions() { data.length_fraction = 0.125; }
 };
 
-/// Runs the sweep (PMC, SWING, SZ at every bound, plus GORILLA), one pool
-/// task per dataset. Record order is canonical regardless of jobs.
+/// Runs the sweep: per dataset, PMC, SWING and SZ at every bound, then one
+/// lossless GORILLA row. Records come back in that canonical order. The
+/// sweep is cheap (under a second at the default scale), so it is never
+/// cached.
 Result<std::vector<SweepRecord>> RunCompressionSweep(
     const SweepOptions& options);
-
-/// CSV persistence, mirroring the forecasting grid cache.
-Status SaveSweepCsv(const std::vector<SweepRecord>& records,
-                    const std::string& path);
-Result<std::vector<SweepRecord>> LoadSweepCsv(const std::string& path);
-Result<std::vector<SweepRecord>> LoadOrRunSweep(const SweepOptions& options,
-                                                const std::string& path);
-
-std::string DefaultSweepCachePath();
 
 }  // namespace lossyts::eval
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -453,83 +452,38 @@ Result<GridRecord> ParseGridRow(const std::string& row) {
   // A trailing empty error field is eaten by getline; restore it.
   if (!row.empty() && row.back() == ',') fields.emplace_back();
 
-  GridRecord r;
-  // v2 rows carry an explicit metric-arity marker after the seed; without
-  // it the row is one of the two fixed v1 layouts (r/rse/rmse/nrmse
-  // columns), with or without the fault-tolerance tail.
+  // Fields 0-4 name the cell, field 5 is the `m<N>` metric-arity marker,
+  // then N metric values and eight fixed tail columns. The arity is compared
+  // against the field count by subtraction so a huge marker cannot wrap.
   uint64_t arity = 0;
-  const bool v2 = fields.size() > 5 && fields[5].size() > 1 &&
-                  fields[5][0] == 'm' &&
-                  ParseU64Field(fields[5].substr(1), &arity);
-  if (v2) {
-    if (arity == 0 || fields.size() != 14 + arity) {
-      return Status::Corruption("malformed grid row: " + row);
-    }
-  } else if (fields.size() != 14 && fields.size() != 17) {
+  if (fields.size() <= 14 || fields[5].size() < 2 || fields[5][0] != 'm' ||
+      !ParseU64Field(fields[5].substr(1), &arity) ||
+      arity != fields.size() - 14) {
     return Status::Corruption("malformed grid row: " + row);
   }
+
+  GridRecord r;
 
   r.dataset = fields[0];
   r.model = fields[1];
   r.compressor = fields[2];
   bool ok = ParseDoubleField(fields[3], &r.error_bound) &&
             ParseU64Field(fields[4], &r.seed);
-  const size_t metric_count = v2 ? static_cast<size_t>(arity) : 4;
-  const size_t metrics_at = v2 ? 6 : 5;
-  r.metrics.assign(metric_count, 0.0);
-  for (size_t i = 0; ok && i < metric_count; ++i) {
-    ok = ParseDoubleField(fields[metrics_at + i], &r.metrics[i]);
+  r.metrics.assign(arity, 0.0);
+  for (size_t i = 0; ok && i < arity; ++i) {
+    ok = ParseDoubleField(fields[6 + i], &r.metrics[i]);
   }
-  const size_t tail = metrics_at + metric_count;
+  const size_t tail = 6 + arity;
   ok = ok && ParseDoubleField(fields[tail], &r.tfe) &&
        ParseDoubleField(fields[tail + 1], &r.te_nrmse) &&
        ParseDoubleField(fields[tail + 2], &r.te_rmse) &&
        ParseDoubleField(fields[tail + 3], &r.compression_ratio) &&
-       ParseDoubleField(fields[tail + 4], &r.segment_count);
-  if (ok && (v2 || fields.size() == 17)) {
-    ok = ParseI32Field(fields[tail + 5], &r.error_code) &&
-         ParseI32Field(fields[tail + 6], &r.attempts);
-    r.error = fields[tail + 7];
-  }
+       ParseDoubleField(fields[tail + 4], &r.segment_count) &&
+       ParseI32Field(fields[tail + 5], &r.error_code) &&
+       ParseI32Field(fields[tail + 6], &r.attempts);
   if (!ok) return Status::Corruption("malformed grid row: " + row);
+  r.error = fields[tail + 7];
   return r;
-}
-
-Status SaveGridCsv(const std::vector<GridRecord>& records,
-                   const std::string& path,
-                   const std::vector<std::string>& metric_names) {
-  std::ofstream file(path);
-  if (!file.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  file << "dataset,model,compressor,error_bound,seed";
-  for (const std::string& name : metric_names) file << ',' << name;
-  file << ",tfe,te_nrmse,te_rmse,compression_ratio,segment_count,error_code,"
-          "attempts,error\n";
-  for (const GridRecord& r : records) {
-    file << FormatGridRow(r) << '\n';
-  }
-  if (!file.good()) return Status::IoError("write to " + path + " failed");
-  return Status::OK();
-}
-
-Result<std::vector<GridRecord>> LoadGridCsv(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) {
-    return Status::NotFound("no grid cache at " + path);
-  }
-  std::string line;
-  if (!std::getline(file, line)) {
-    return Status::Corruption(path + " is empty");
-  }
-  std::vector<GridRecord> records;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    Result<GridRecord> record = ParseGridRow(line);
-    if (!record.ok()) return record.status();
-    records.push_back(std::move(*record));
-  }
-  return records;
 }
 
 Result<std::vector<GridRecord>> LoadOrRunGrid(const GridOptions& options,
@@ -555,7 +509,7 @@ Result<std::vector<GridRecord>> LoadOrRunGrid(const GridOptions& options,
     }
   } else if (loaded.ok() && !loaded->compatible && options.verbose) {
     Progress::Printf(
-        "[grid] cache %s was built for different options; rerunning (%s)\n",
+        "[grid] cache %s cannot be resumed (%s); rerunning\n",
         path.c_str(), loaded->reason.c_str());
   }
   GridCheckpointWriter writer;

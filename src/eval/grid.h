@@ -149,32 +149,22 @@ Result<std::vector<GridRecord>> RunGridResumable(
 std::vector<const GridRecord*> FailedRecords(
     const std::vector<GridRecord>& records);
 
-/// CSV persistence so the bench binaries share one expensive sweep. The
-/// header names each metric column after `metric_names` (which must match
-/// the records' arity); the default is the pinned four.
-Status SaveGridCsv(const std::vector<GridRecord>& records,
-                   const std::string& path,
-                   const std::vector<std::string>& metric_names =
-                       PinnedForecastMetrics());
-Result<std::vector<GridRecord>> LoadGridCsv(const std::string& path);
-
-/// One record as a CSV row (no newline) in SaveGridCsv column order, and its
-/// inverse. Shared by the CSV cache and the CRC-framed checkpoint. The v2
-/// row self-describes its metric arity with an `m<N>` marker field after the
-/// seed, followed by the N metric values. Parsing also accepts the two v1
-/// layouts (fixed r/rse/rmse/nrmse columns): 17 columns, and the legacy
-/// 14-column format from before fault-tolerance bookkeeping existed.
+/// One record as a CSV row (no newline), the payload of a CRC-framed
+/// checkpoint line (see checkpoint.h), and its inverse. The row
+/// self-describes its metric arity with an `m<N>` marker field after the
+/// seed, followed by the N metric values and the fixed tail columns. Any
+/// other layout is Corruption.
 std::string FormatGridRow(const GridRecord& record);
 Result<GridRecord> ParseGridRow(const std::string& row);
 
 /// Loads `path` if present, otherwise runs the grid and saves it. The cache
 /// is a CRC-framed checkpoint (see checkpoint.h): rows are appended as they
 /// are produced, and a partial or torn cache — e.g. after a crash — is
-/// salvaged and resumed, recomputing only the missing cells. A cache written
-/// for different GridOptions is discarded. Legacy plain-CSV caches load
-/// as complete sweeps. Records come back in canonical cell order whether
-/// they were loaded or computed, so callers see the same sequence either
-/// way.
+/// salvaged and resumed, recomputing only the missing cells. A file that
+/// cannot be resumed (written for different GridOptions or metrics, or not
+/// a v2 checkpoint at all) is recomputed and overwritten. Records come back
+/// in canonical cell order whether they were loaded or computed, so callers
+/// see the same sequence either way.
 Result<std::vector<GridRecord>> LoadOrRunGrid(const GridOptions& options,
                                               const std::string& path);
 

@@ -118,17 +118,40 @@ TEST(GridRowTest, FormatParseRoundTripsFaultFields) {
   EXPECT_EQ(CellKey(*parsed), CellKey(record));
 }
 
-TEST(GridRowTest, ParseAcceptsLegacyFourteenColumnRows) {
-  Result<GridRecord> parsed =
-      ParseGridRow("ETTm1,GBoost,PMC,0.1,1,0.9,0.2,1.1,0.05,0.01,0.02,10.5");
-  EXPECT_FALSE(parsed.ok());  // Too few fields is still malformed.
+TEST(GridRowTest, ParseRejectsV1RowLayouts) {
+  // The two v1 layouts (fixed r/rse/rmse/nrmse columns, with and without the
+  // fault-tolerance tail) carry no arity marker and are no longer read.
+  EXPECT_EQ(ParseGridRow("ETTm1,GBoost,PMC,0.1,1,0.9,0.2,1.1,0.05,0.01,0.02,"
+                         "0,10.5,3")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ParseGridRow("ETTm1,GBoost,PMC,0.1,1,0.9,0.2,1.1,0.05,0.01,0.02,"
+                         "0,10.5,3,0,1,")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+}
 
-  parsed = ParseGridRow(
-      "ETTm1,GBoost,PMC,0.1,1,0.9,0.2,1.1,0.05,0.01,0.02,10.5,3,7");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->error_code, 0);
-  EXPECT_EQ(parsed->attempts, 1);
-  EXPECT_TRUE(parsed->error.empty());
+TEST(GridRowTest, ArityMarkerMustMatchFieldCount) {
+  GridRecord record;
+  record.dataset = "ETTm1";
+  record.model = "GBoost";
+  record.compressor = "PMC";
+  const std::string row = FormatGridRow(record);
+  ASSERT_TRUE(ParseGridRow(row).ok());
+  for (const char* marker : {"m0", "m3", "m5", "mx", "m"}) {
+    std::string bad = row;
+    bad.replace(bad.find("m4"), 2, marker);
+    EXPECT_EQ(ParseGridRow(bad).status().code(), StatusCode::kCorruption)
+        << marker;
+  }
+  // 14 + (2^64 - 8) wraps to 6 in size_t arithmetic: this six-field row
+  // must be Corruption, not a std::length_error from sizing the metrics.
+  EXPECT_EQ(ParseGridRow("ETTm1,GBoost,PMC,0.1,1,m18446744073709551608")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CheckpointTest, WriterProducesLoadableCompleteCheckpoint) {
@@ -160,7 +183,6 @@ TEST(CheckpointTest, WriterProducesLoadableCompleteCheckpoint) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->complete);
   EXPECT_TRUE(loaded->compatible);
-  EXPECT_FALSE(loaded->legacy);
   ASSERT_EQ(loaded->records.size(), 2u);
   ExpectSameRecord(loaded->records[0], a);
   ExpectSameRecord(loaded->records[1], b);
@@ -234,69 +256,84 @@ TEST(CheckpointTest, CorruptedCrcDropsRowAndStopsSalvage) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, LegacyPlainCsvLoadsAsCompleteCheckpoint) {
-  const std::string path = TempPath("ckpt_legacy.csv");
-  std::remove(path.c_str());
+// A GBoost-only grid: cheap enough to recompute in the non-v2 cache tests.
+GridOptions GBoostGrid() {
+  GridOptions options = TinyGrid();
+  options.models = {"GBoost"};
+  return options;
+}
 
+// A file without a v2 manifest loads as incompatible with a reason, and
+// LoadOrRunGrid recomputes the sweep and rewrites the file as a complete v2
+// checkpoint.
+void ExpectIncompatibleAndRecomputed(const std::string& path) {
+  const GridOptions options = GBoostGrid();
+  const uint32_t hash = GridOptionsHash(options);
+  Result<GridCheckpoint> loaded = LoadGridCheckpoint(path, hash);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->compatible);
+  EXPECT_NE(loaded->reason.find("no v2 checkpoint manifest"), std::string::npos)
+      << loaded->reason;
+  EXPECT_TRUE(loaded->records.empty());
+
+  Result<std::vector<GridRecord>> expected = RunGrid(options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  Result<std::vector<GridRecord>> recomputed = LoadOrRunGrid(options, path);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  ASSERT_EQ(recomputed->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    ExpectSameRecord((*recomputed)[i], (*expected)[i]);
+  }
+
+  Result<GridCheckpoint> rewritten = LoadGridCheckpoint(path, hash);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_TRUE(rewritten->compatible);
+  EXPECT_TRUE(rewritten->complete);
+  EXPECT_EQ(rewritten->records.size(), expected->size());
+}
+
+TEST(CheckpointTest, PlainCsvCacheIsIncompatibleAndRecomputed) {
+  const std::string path = TempPath("ckpt_plain_csv.csv");
   GridRecord a;
   a.dataset = "ETTm1";
   a.model = "GBoost";
   a.compressor = "PMC";
-  a.error_bound = 0.1;
+  a.error_bound = 0.05;
   a.seed = 1;
   a.metrics[kMetricNrmse] = 0.4;
-  ASSERT_TRUE(SaveGridCsv({a}, path).ok());
-
-  Result<GridCheckpoint> loaded = LoadGridCheckpoint(path, 123);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->legacy);
-  EXPECT_TRUE(loaded->complete);
-  EXPECT_TRUE(loaded->compatible);
-  ASSERT_EQ(loaded->records.size(), 1u);
-  ExpectSameRecord(loaded->records[0], a);
+  // The plain cache layout: a header, then bare rows with no CRC frame.
+  WriteFileOrDie(path,
+                 "dataset,model,compressor,error_bound,seed,r,rse,rmse,nrmse,"
+                 "tfe,te_nrmse,te_rmse,compression_ratio,segment_count,"
+                 "error_code,attempts,error\n" +
+                     FormatGridRow(a) + "\n");
+  ExpectIncompatibleAndRecomputed(path);
   std::remove(path.c_str());
 }
 
-// Schema versioning: a v1 checkpoint (pinned four metric columns, no
-// "metrics=" manifest field) must resume cleanly for a pinned-four sweep and
-// be rejected with a clear reason for any other metric set — never silently
-// misparsed.
-TEST(CheckpointTest, V1CheckpointResumesPinnedAndRejectsExtraMetrics) {
-  const std::string path = TempPath("ckpt_v1_compat.csv");
-  std::remove(path.c_str());
-
-  // Hand-written v1 file: v1 manifest, header, one CRC-framed 17-field row.
+TEST(CheckpointTest, V1CheckpointIsIncompatibleAndRecomputed) {
+  const std::string path = TempPath("ckpt_v1.csv");
+  // Hand-written v1 file: v1 manifest carrying this sweep's options hash,
+  // header, one CRC-framed 17-field row, complete footer.
   const std::string row =
-      "ETTm1,GBoost,PMC,0.10000000000000001,1,0.9,0.25,1.5,0.07,-0.02,0.01,"
+      "ETTm1,GBoost,PMC,0.050000000000000003,1,0.9,0.25,1.5,0.07,-0.02,0.01,"
       "0,11.25,3,0,1,";
+  char manifest[64];
+  std::snprintf(manifest, sizeof(manifest),
+                "#lossyts-grid-checkpoint v1 options=%08x\n",
+                GridOptionsHash(GBoostGrid()));
   char crc[16];
   std::snprintf(crc, sizeof(crc), "%08x",
                 zip::ComputeCrc32(reinterpret_cast<const uint8_t*>(row.data()),
                                   row.size()));
   WriteFileOrDie(path,
-                 "#lossyts-grid-checkpoint v1 options=0000002a\n"
-                 "dataset,model,compressor,error_bound,seed,r,rse,rmse,nrmse,"
-                 "tfe,te_nrmse,te_rmse,compression_ratio,segment_count,"
-                 "error_code,attempts,error\n" +
-                     std::string(crc) + ',' + row + "\n#complete\n");
-
-  Result<GridCheckpoint> pinned = LoadGridCheckpoint(path, 0x2a);
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_TRUE(pinned->compatible);
-  EXPECT_TRUE(pinned->complete);
-  ASSERT_EQ(pinned->records.size(), 1u);
-  ASSERT_EQ(pinned->records[0].metrics.size(), 4u);
-  EXPECT_DOUBLE_EQ(pinned->records[0].r(), 0.9);
-  EXPECT_DOUBLE_EQ(pinned->records[0].nrmse(), 0.07);
-
-  Result<std::vector<std::string>> extended = ResolveMetricNames({"mae"});
-  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
-  Result<GridCheckpoint> rejected = LoadGridCheckpoint(path, 0x2a, *extended);
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  EXPECT_FALSE(rejected->compatible);
-  EXPECT_NE(rejected->reason.find("v1 checkpoint"), std::string::npos)
-      << rejected->reason;
-  EXPECT_TRUE(rejected->records.empty());
+                 std::string(manifest) +
+                     "dataset,model,compressor,error_bound,seed,r,rse,rmse,"
+                     "nrmse,tfe,te_nrmse,te_rmse,compression_ratio,"
+                     "segment_count,error_code,attempts,error\n" +
+                     crc + ',' + row + "\n#complete\n");
+  ExpectIncompatibleAndRecomputed(path);
   std::remove(path.c_str());
 }
 

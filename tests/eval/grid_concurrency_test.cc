@@ -20,7 +20,6 @@
 #include "core/thread_pool.h"
 #include "eval/artifact_store.h"
 #include "eval/checkpoint.h"
-#include "eval/compression_sweep.h"
 #include "eval/grid.h"
 
 namespace lossyts::eval {
@@ -200,34 +199,6 @@ TEST_F(GridConcurrencyTest, ConfigErrorAbortsIdenticallyAcrossJobs) {
 TEST_F(GridConcurrencyTest, GridOptionsHashIgnoresJobs) {
   // Checkpoints written at any parallelism must resume at any other.
   EXPECT_EQ(GridOptionsHash(TinyGrid(1)), GridOptionsHash(TinyGrid(8)));
-}
-
-TEST_F(GridConcurrencyTest, CompressionSweepIsByteIdenticalAcrossJobs) {
-  SweepOptions options;
-  options.datasets = {"ETTm1", "Solar"};
-  options.error_bounds = {0.05, 0.2};
-  options.data.length_fraction = 0.02;
-
-  Result<std::vector<SweepRecord>> sequential = RunCompressionSweep(options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-  options.jobs = 4;
-  Result<std::vector<SweepRecord>> parallel = RunCompressionSweep(options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  ASSERT_EQ(sequential->size(), parallel->size());
-  for (size_t i = 0; i < sequential->size(); ++i) {
-    const SweepRecord& a = (*sequential)[i];
-    const SweepRecord& b = (*parallel)[i];
-    SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a.dataset, b.dataset);
-    EXPECT_EQ(a.compressor, b.compressor);
-    EXPECT_DOUBLE_EQ(a.error_bound, b.error_bound);
-    EXPECT_DOUBLE_EQ(a.te_nrmse, b.te_nrmse);
-    EXPECT_DOUBLE_EQ(a.compression_ratio, b.compression_ratio);
-    EXPECT_DOUBLE_EQ(a.segment_count, b.segment_count);
-    EXPECT_DOUBLE_EQ(a.gz_bytes, b.gz_bytes);
-  }
 }
 
 TEST(ArtifactStoreTest, ComputesOncePerKeyAndLooksUp) {

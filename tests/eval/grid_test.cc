@@ -76,25 +76,6 @@ TEST(GridTest, HigherErrorBoundHasHigherTe) {
   EXPECT_GT(te_high, te_low);
 }
 
-TEST(GridTest, CsvRoundTrip) {
-  Result<std::vector<GridRecord>> records = RunGrid(TinyGrid());
-  ASSERT_TRUE(records.ok());
-  const std::string path = ::testing::TempDir() + "/grid_cache_test.csv";
-  ASSERT_TRUE(SaveGridCsv(*records, path).ok());
-  Result<std::vector<GridRecord>> loaded = LoadGridCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), records->size());
-  for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ((*loaded)[i].dataset, (*records)[i].dataset);
-    EXPECT_EQ((*loaded)[i].model, (*records)[i].model);
-    EXPECT_EQ((*loaded)[i].compressor, (*records)[i].compressor);
-    EXPECT_NEAR((*loaded)[i].tfe, (*records)[i].tfe, 1e-9);
-    EXPECT_NEAR((*loaded)[i].compression_ratio,
-                (*records)[i].compression_ratio, 1e-9);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(GridTest, LoadOrRunUsesCache) {
   const std::string path = ::testing::TempDir() + "/grid_cache_test2.csv";
   std::remove(path.c_str());
@@ -105,11 +86,6 @@ TEST(GridTest, LoadOrRunUsesCache) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->size(), second->size());
   std::remove(path.c_str());
-}
-
-TEST(GridTest, MissingCacheFileIsNotFound) {
-  EXPECT_EQ(LoadGridCsv("/nonexistent/grid.csv").status().code(),
-            StatusCode::kNotFound);
 }
 
 TEST(GridTest, UnknownDatasetFails) {

@@ -4,8 +4,11 @@
 // (src/conform/mutate.cc, GenerateStoreMutants/CheckStoreMutant).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "conform/mutate.h"
 #include "core/rng.h"
@@ -14,6 +17,14 @@
 
 namespace lossyts::conform {
 namespace {
+
+// ctest runs each case in its own process, in parallel: a per-test,
+// per-process file name keeps them from overwriting each other's image.
+std::string ImagePath() {
+  return ::testing::TempDir() + "lossyts_mutant_base_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + std::to_string(getpid()) + ".lts";
+}
 
 std::vector<uint8_t> BuildStoreImage(const std::vector<std::string>& codecs,
                                      size_t n) {
@@ -24,7 +35,7 @@ std::vector<uint8_t> BuildStoreImage(const std::vector<std::string>& codecs,
     x += 0.1 * rng.Normal();
     val = x;
   }
-  const std::string path = ::testing::TempDir() + "mutant_base.lts";
+  const std::string path = ImagePath();
   store::StoreOptions options;
   options.chunk_span = 300;
   options.codecs = codecs;
@@ -34,8 +45,22 @@ std::vector<uint8_t> BuildStoreImage(const std::vector<std::string>& codecs,
   EXPECT_TRUE((*writer)->Finish().ok());
   std::ifstream file(path, std::ios::binary);
   EXPECT_TRUE(file.is_open());
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(file)),
-                              std::istreambuf_iterator<char>());
+  std::vector<uint8_t> image((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return image;
+}
+
+TEST(StoreRobustnessTest, ImagePathIsPerTestAndProcess) {
+  const std::string path = ImagePath();
+  EXPECT_NE(path.find("ImagePathIsPerTestAndProcess"), std::string::npos)
+      << path;
+  EXPECT_NE(path.find("_" + std::to_string(getpid()) + ".lts"),
+            std::string::npos)
+      << path;
+  EXPECT_FALSE(BuildStoreImage({"PMC"}, 400).empty());
+  // The image file is removed once read, so no case leaves one behind.
+  EXPECT_FALSE(std::ifstream(path).is_open()) << path;
 }
 
 TEST(StoreRobustnessTest, ValidImagePassesTheCheckItself) {

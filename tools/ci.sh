@@ -239,6 +239,51 @@ stream_smoke() {
   echo "stream_smoke: stream state identical across restart"
 }
 
+# Compression-sweep smoke, plain leg only (the sweep takes about a second
+# optimized, much longer instrumented). figure2_te_cr, figure3_segments and
+# table3_cr_te_regression recompute the sweep on every run; there is no
+# sweep cache. Each bench runs twice in an empty temp dir: both runs must
+# exit 0 with byte-identical stdout, and the dir must still be empty, so no
+# cache file comes back. Then `lossyts sweep` on an all-zero CSV (its NRMSE
+# is undefined) must exit 1 with a message on stderr, not silently.
+sweep_smoke() {
+  local dir
+  dir="$(cd "$1" && pwd)"
+  local work out
+  work="$(mktemp -d)"
+  out="${dir}/sweep_smoke"
+  rm -rf "${out}"
+  mkdir -p "${out}"
+  local b run
+  for b in figure2_te_cr figure3_segments table3_cr_te_regression; do
+    for run in 1 2; do
+      (cd "${work}" && "${dir}/bench/${b}" >"${out}/${b}.${run}.txt" \
+        2>/dev/null)
+    done
+    if ! cmp -s "${out}/${b}.1.txt" "${out}/${b}.2.txt"; then
+      echo "sweep_smoke: ${b} stdout differs between two runs"
+      diff "${out}/${b}.1.txt" "${out}/${b}.2.txt" || true
+      return 1
+    fi
+    if [[ -n "$(ls -A "${work}")" ]]; then
+      echo "sweep_smoke: ${b} left files behind:"; ls -A "${work}"
+      return 1
+    fi
+  done
+  rmdir "${work}"
+  printf 'timestamp,value\n0,0\n60,0\n120,0\n' >"${out}/zeros.csv"
+  local status=0
+  "${dir}/tools/lossyts" sweep "${out}/zeros.csv" >/dev/null \
+    2>"${out}/zeros.err" || status=$?
+  if [[ "${status}" -ne 1 || ! -s "${out}/zeros.err" ]]; then
+    echo "sweep_smoke: lossyts sweep on an all-zero CSV exited ${status}" \
+      "with stderr '$(cat "${out}/zeros.err")'; wanted 1 and a message"
+    return 1
+  fi
+  echo "sweep_smoke: 3 benches deterministic and cache-free;" \
+    "all-zero sweep fails with: $(head -1 "${out}/zeros.err")"
+}
+
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
@@ -292,6 +337,9 @@ run_config() {
       "${dir}/tools/lossyts" store query "${lts}" MEAN --no-pushdown
       "${dir}/tools/lossyts" store verify "${lts}" Solar
     done
+  fi
+  if [[ -z "${sanitize}" ]]; then
+    sweep_smoke "${dir}"
   fi
   simd_smoke "${dir}"
   serve_smoke "${dir}"

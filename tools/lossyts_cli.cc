@@ -230,11 +230,19 @@ int Sweep(const std::string& arg) {
        {"PMC", "SWING", "SZ", "PPA", "LFZIP", "CAMEO"}) {
     Result<std::unique_ptr<compress::Compressor>> codec =
         compress::MakeCompressor(name);
-    if (!codec.ok()) return 1;
+    if (!codec.ok()) {
+      std::fprintf(stderr, "sweep: %s: %s\n", name.c_str(),
+                   codec.status().ToString().c_str());
+      return 1;
+    }
     for (double eb : {0.01, 0.05, 0.2}) {
       Result<compress::PipelineResult> run =
           compress::RunPipeline(**codec, *series, eb);
-      if (!run.ok()) return 1;
+      if (!run.ok()) {
+        std::fprintf(stderr, "sweep: %s at eb %g: %s\n", name.c_str(), eb,
+                     run.status().ToString().c_str());
+        return 1;
+      }
       table.AddRow({name, eval::FormatDouble(eb, 2),
                     eval::FormatDouble(run->compression_ratio, 1),
                     eval::FormatDouble(run->te_nrmse, 4)});
