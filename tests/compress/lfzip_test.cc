@@ -1,12 +1,15 @@
 #include "compress/lfzip.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <limits>
 
 #include <gtest/gtest.h>
 
 #include "compress/serde.h"
+#include "damaged_blob.h"
 #include "core/metrics.h"
 #include "core/rng.h"
 
@@ -328,6 +331,55 @@ TEST(LfzipTest, AllZeroSeriesRoundTrips) {
       EXPECT_FALSE(std::signbit(v));
     }
   }
+}
+
+// A noisy sine with exact zeros and two jumps no quantization code reaches,
+// so every stream of the blob is populated.
+TimeSeries DamageCorpus() {
+  TimeSeries ts = NoisySine(600, 5);
+  std::vector<double>& v = ts.mutable_values();
+  for (size_t i = 40; i < 45; ++i) v[i] = 0.0;
+  v[300] = 0.0;
+  v[200] = 1e12;
+  v[450] = -3e11;
+  return ts;
+}
+
+// Pins the decode outcome of Lfzip blobs damaged one way each, so a
+// faster decoder must fail with exactly the same status at the same step.
+TEST(LfzipTest, DamagedBlobOutcomesArePinned) {
+  const LfzipCompressor codec;
+  Result<std::vector<uint8_t>> blob = codec.Compress(DamageCorpus(), 0.05);
+  ASSERT_TRUE(blob.ok());
+  const BlobLayout layout = MapBlob(*blob, AlgorithmId::kLfzip);
+  ASSERT_GT(layout.unpredictable, 0u);
+  struct Pin {
+    const char* damage;
+    const char* outcome;
+  };
+  const Pin pins[] = {
+      {"last class byte 2", "Corruption: invalid LFZip value class"},
+      {"class stream truncated", "Corruption: LFZip class stream truncated"},
+      {"unpredictable stream exhausted",
+       "Corruption: LFZip unpredictable stream exhausted"},
+      {"symbol mode 2", "Corruption: invalid LFZip symbol coding mode"},
+      {"payload byte flipped",
+       "Corruption: LFZip unpredictable stream exhausted"},
+      {"payload last bit flipped", "OutOfRange: bit stream exhausted"},
+      {"payload all ones", "OutOfRange: bit stream exhausted"},
+      {"payload one byte short", "OutOfRange: bit stream exhausted"},
+      {"payload size past end", "Corruption: LFZip Huffman payload truncated"},
+      {"table cut to one pair", "Corruption: invalid Huffman code in stream"},
+  };
+  std::string table;
+  for (const Pin& pin : pins) {
+    const std::string outcome =
+        DecodeOutcome(codec, Damage(pin.damage, *blob, layout));
+    table += std::string("      {\"") + pin.damage + "\", \"" + outcome +
+             "\"},\n";
+    EXPECT_EQ(outcome, pin.outcome) << pin.damage;
+  }
+  if (HasFailure()) std::printf("outcome table:\n%s", table.c_str());
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include "compress/sz.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "compress/serde.h"
+#include "damaged_blob.h"
 #include "core/metrics.h"
 #include "core/rng.h"
 
@@ -326,6 +329,59 @@ TEST(SzTest, AllZeroSeriesRoundTrips) {
       EXPECT_FALSE(std::signbit(v));
     }
   }
+}
+
+// A noisy sine with exact zeros and two jumps no quantization code reaches,
+// so every stream of the blob is populated.
+TimeSeries DamageCorpus() {
+  TimeSeries ts = NoisySine(600, 5);
+  std::vector<double>& v = ts.mutable_values();
+  for (size_t i = 40; i < 45; ++i) v[i] = 0.0;
+  v[300] = 0.0;
+  v[200] = 1e12;
+  v[450] = -3e11;
+  return ts;
+}
+
+// Pins the decode outcome of Sz blobs damaged one way each, so a
+// faster decoder must fail with exactly the same status at the same step.
+TEST(SzTest, DamagedBlobOutcomesArePinned) {
+  const SzCompressor codec;
+  Result<std::vector<uint8_t>> blob = codec.Compress(DamageCorpus(), 0.05);
+  ASSERT_TRUE(blob.ok());
+  const BlobLayout layout = MapBlob(*blob, AlgorithmId::kSz);
+  ASSERT_GT(layout.unpredictable, 0u);
+  struct Pin {
+    const char* damage;
+    const char* outcome;
+  };
+  const Pin pins[] = {
+      {"first class byte 7", "Corruption: invalid SZ value class"},
+      {"last class byte 2", "Corruption: invalid SZ value class"},
+      {"non-zero class cleared", "Corruption: SZ nonzero count mismatch"},
+      {"zero class set", "Corruption: SZ class stream inconsistent"},
+      {"class stream truncated", "Corruption: SZ class stream truncated"},
+      {"one block model short",
+       "Corruption: SZ block stream shorter than symbol stream"},
+      {"unpredictable stream exhausted",
+       "Corruption: SZ unpredictable stream exhausted"},
+      {"symbol mode 2", "Corruption: invalid SZ symbol coding mode"},
+      {"payload byte flipped", "Corruption: SZ unpredictable stream exhausted"},
+      {"payload last bit flipped", "OK 71f1e7231c1563a9"},
+      {"payload all ones", "OutOfRange: bit stream exhausted"},
+      {"payload one byte short", "OutOfRange: bit stream exhausted"},
+      {"payload size past end", "Corruption: SZ Huffman payload truncated"},
+      {"table cut to one pair", "Corruption: invalid Huffman code in stream"},
+  };
+  std::string table;
+  for (const Pin& pin : pins) {
+    const std::string outcome =
+        DecodeOutcome(codec, Damage(pin.damage, *blob, layout));
+    table += std::string("      {\"") + pin.damage + "\", \"" + outcome +
+             "\"},\n";
+    EXPECT_EQ(outcome, pin.outcome) << pin.damage;
+  }
+  if (HasFailure()) std::printf("outcome table:\n%s", table.c_str());
 }
 
 }  // namespace
