@@ -131,10 +131,9 @@ Result<std::vector<int>> ReadSymbols(ByteReader& reader, uint32_t count,
   }
   zip::BitReader bits(reader.current(), *payload_size);
   if (Status s = reader.Skip(*payload_size); !s.ok()) return s;
-  for (uint32_t i = 0; i < count; ++i) {
-    Result<int> sym = decoder.Decode(bits);
-    if (!sym.ok()) return sym.status();
-    symbols.push_back(*sym);
+  symbols.resize(count);
+  if (Status s = decoder.DecodeMany(bits, symbols.data(), count); !s.ok()) {
+    return s;
   }
   return symbols;
 }

@@ -81,7 +81,13 @@ void ChooseBlockModel(const std::vector<double>& w, size_t begin, size_t end,
 // Decompress. The encoder *verifies* every quantized reconstruction against
 // the point's relative allowance (the LFZip-style max-error check), which is
 // only sound if it computes bit-for-bit what the decoder will compute — so
-// both sides call these and nothing else.
+// both sides call these and nothing else. (Decompress resolves the predictor
+// once per block; the regression line is the one expression with
+// arithmetic, so it lives in LinearPrediction.)
+double LinearPrediction(const BlockModel& model, size_t local_index) {
+  return model.a + model.b * static_cast<double>(local_index);
+}
+
 double PredictValue(const BlockModel& model, size_t local_index,
                     double prev_rec) {
   switch (model.predictor) {
@@ -90,7 +96,7 @@ double PredictValue(const BlockModel& model, size_t local_index,
     case PredictorId::kMeanLorenzo:
       return model.mean;
     case PredictorId::kLinearRegression:
-      return model.a + model.b * static_cast<double>(local_index);
+      return LinearPrediction(model, local_index);
   }
   return prev_rec;
 }
@@ -271,13 +277,17 @@ Result<TimeSeries> SzCompressor::Decompress(
     return Status::Corruption("SZ class stream truncated");
   }
 
-  std::vector<uint8_t> classes(header->num_points);
+  // The class stream is read in place: one pass validates it and counts
+  // the non-zero classes, which the merge below checks against n_nonzero.
+  const uint8_t* const classes = reader.current();
+  size_t nonzero_classes = 0;
+  uint8_t any_invalid = 0;
   for (uint32_t i = 0; i < header->num_points; ++i) {
-    Result<uint8_t> c = reader.GetU8();
-    if (!c.ok()) return c.status();
-    if (*c > kNonZero) return Status::Corruption("invalid SZ value class");
-    classes[i] = *c;
+    nonzero_classes += classes[i] & 1u;
+    any_invalid |= classes[i] & static_cast<uint8_t>(~1u);
   }
+  if (any_invalid != 0) return Status::Corruption("invalid SZ value class");
+  if (Status s = reader.Skip(header->num_points); !s.ok()) return s;
 
   Result<uint32_t> n_blocks = reader.GetU32();
   if (!n_blocks.ok()) return n_blocks.status();
@@ -328,47 +338,74 @@ Result<TimeSeries> SzCompressor::Decompress(
     x = *val;
   }
 
-  // Reconstruct the non-zero stream.
+  // Reconstruct the non-zero stream block by block, with the block's
+  // predictor resolved once; the per-point arithmetic is PredictValue's.
   std::vector<double> w(*n_nonzero);
   double prev_rec = 0.0;
   size_t unpred_pos = 0;
-  size_t block = 0;
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (i > 0 && i % options_.block_size == 0) ++block;
+  const auto reconstruct = [&](size_t begin, size_t end, double delta,
+                               auto predict) {
+    for (size_t i = begin; i < end; ++i) {
+      const int sym = symbols[i];
+      if (sym == unpredictable_symbol) {
+        if (unpred_pos >= unpredictable.size()) return false;
+        w[i] = unpredictable[unpred_pos++];
+      } else {
+        w[i] = ReconstructValue(predict(i - begin, prev_rec), delta,
+                                sym - radius);
+      }
+      prev_rec = w[i];
+    }
+    return true;
+  };
+  const size_t block_size = options_.block_size;
+  for (size_t begin = 0, block = 0; begin < w.size();
+       begin += block_size, ++block) {
     if (block >= models.size()) {
       return Status::Corruption("SZ block stream shorter than symbol stream");
     }
     const BlockModel& m = models[block];
+    const size_t end = std::min(begin + block_size, w.size());
     const double delta = static_cast<double>(m.abs_bound);
-    const double pred =
-        PredictValue(m, i - block * options_.block_size, prev_rec);
-    const int sym = symbols[i];
-    if (sym == unpredictable_symbol) {
-      if (unpred_pos >= unpredictable.size()) {
-        return Status::Corruption("SZ unpredictable stream exhausted");
-      }
-      w[i] = unpredictable[unpred_pos++];
-    } else {
-      w[i] = ReconstructValue(pred, delta, sym - radius);
+    bool complete = false;
+    switch (m.predictor) {
+      case PredictorId::kLorenzo:
+        complete = reconstruct(begin, end, delta,
+                               [](size_t, double prev) { return prev; });
+        break;
+      case PredictorId::kMeanLorenzo:
+        complete = reconstruct(begin, end, delta,
+                               [&m](size_t, double) { return m.mean; });
+        break;
+      case PredictorId::kLinearRegression:
+        complete = reconstruct(begin, end, delta, [&m](size_t k, double) {
+          return LinearPrediction(m, k);
+        });
+        break;
     }
-    prev_rec = w[i];
+    if (!complete) {
+      return Status::Corruption("SZ unpredictable stream exhausted");
+    }
   }
 
-  // Merge zeros back in.
-  std::vector<double> values(header->num_points);
-  size_t j = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (classes[i] == kZero) {
-      values[i] = 0.0;
-    } else {
-      if (j >= w.size()) {
-        return Status::Corruption("SZ class stream inconsistent");
-      }
-      values[i] = w[j++];
-    }
+  // Merge zeros back in. The class pass counted the non-zero classes, so a
+  // stream that disagrees with n_nonzero fails here with the status the
+  // point-by-point merge reports.
+  if (nonzero_classes > w.size()) {
+    return Status::Corruption("SZ class stream inconsistent");
   }
-  if (j != w.size()) {
+  if (nonzero_classes < w.size()) {
     return Status::Corruption("SZ nonzero count mismatch");
+  }
+  std::vector<double> values;
+  if (w.size() == header->num_points) {
+    values = std::move(w);
+  } else {
+    values.resize(header->num_points);
+    size_t j = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = classes[i] == kZero ? 0.0 : w[j++];
+    }
   }
   return TimeSeries(header->first_timestamp, header->interval_seconds,
                     std::move(values));

@@ -280,37 +280,63 @@ void HuffmanDecoder::BuildLut() {
   }
 }
 
-Result<int> HuffmanDecoder::Decode(BitReader& reader) const {
-  // Peek the longest possible code zero-padded; the padding cannot alias a
-  // wrong symbol because a prefix code's identity is fixed by its true
-  // prefix. Error semantics mirror DecodeReference exactly: a prefix
-  // matching no code is Corruption once max_used_length_ bits were
-  // available, and running out of bits first is OutOfRange with the stream
-  // fully consumed.
-  const uint64_t window = reader.PeekPadded(max_used_length_);
-  uint32_t entry = table_[window & ((1u << table_bits_) - 1)];
-  if (entry & kSubFlag) {
-    const uint32_t width = (entry >> kLenShift) & 31u;
-    const uint32_t base = entry & kSymMask;
-    entry = table_[base + (static_cast<uint32_t>(window >> table_bits_) &
-                           ((1u << width) - 1))];
-  }
-  const int len = static_cast<int>((entry >> kLenShift) & 31u);
-  const size_t remaining = reader.RemainingBits();
-  if (len == 0) {
-    if (remaining >= static_cast<size_t>(max_used_length_)) {
-      reader.DropBits(max_used_length_);
-      return Status::Corruption("invalid Huffman code in stream");
+Status HuffmanDecoder::DecodeMany(BitReader& reader, int* out,
+                                  size_t count) const {
+  // The cursor lives in locals for the whole loop, so stores to `out` cannot
+  // force it back to memory, and is written back once at the end.
+  const uint8_t* const data = reader.data_;
+  const size_t size = reader.size_;
+  uint64_t buffer = reader.bit_buffer_;
+  int bits = reader.bits_in_buffer_;
+  size_t next = reader.next_byte_;
+  const uint32_t* const table = table_.data();
+  const uint64_t root_mask = (uint64_t{1} << table_bits_) - 1;
+  Status status;
+  for (size_t i = 0; i < count; ++i) {
+    // After a refill the buffer holds >= 57 bits or everything left, so
+    // `bits` stands for the stream's remaining bits in every test below
+    // (codes are <= 15 bits). The buffer is zero above `bits`: a short tail
+    // reads as zero padding, which cannot alias a wrong symbol because a
+    // prefix code's identity is fixed by its true prefix.
+    BitReader::RefillCursor(data, size, buffer, bits, next);
+    uint32_t entry = table[buffer & root_mask];
+    if (entry & kSubFlag) {
+      const uint32_t width = (entry >> kLenShift) & 31u;
+      entry = table[(entry & kSymMask) +
+                    (static_cast<uint32_t>(buffer >> table_bits_) &
+                     ((1u << width) - 1))];
     }
-    reader.Exhaust();
-    return Status::OutOfRange("bit stream exhausted");
+    const int len = static_cast<int>((entry >> kLenShift) & 31u);
+    if (len == 0 || len > bits) [[unlikely]] {
+      // Mirrors DecodeReference: a prefix matching no code is Corruption
+      // once max_used_length_ bits were available, and running out of bits
+      // first is OutOfRange with the stream fully consumed.
+      if (len == 0 && bits >= max_used_length_) {
+        buffer >>= max_used_length_;
+        bits -= max_used_length_;
+        status = Status::Corruption("invalid Huffman code in stream");
+      } else {
+        next = size;
+        bits = 0;
+        buffer = 0;
+        status = Status::OutOfRange("bit stream exhausted");
+      }
+      break;
+    }
+    buffer >>= len;
+    bits -= len;
+    out[i] = static_cast<int>(entry & kSymMask);
   }
-  if (static_cast<size_t>(len) > remaining) {
-    reader.Exhaust();
-    return Status::OutOfRange("bit stream exhausted");
-  }
-  reader.DropBits(len);
-  return static_cast<int>(entry & kSymMask);
+  reader.bit_buffer_ = buffer;
+  reader.bits_in_buffer_ = bits;
+  reader.next_byte_ = next;
+  return status;
+}
+
+Result<int> HuffmanDecoder::Decode(BitReader& reader) const {
+  int symbol = 0;
+  if (Status s = DecodeMany(reader, &symbol, 1); !s.ok()) return s;
+  return symbol;
 }
 
 Result<int> HuffmanDecoder::DecodeReference(BitReader& reader) const {

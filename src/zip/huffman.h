@@ -33,12 +33,13 @@ struct SymbolLength {
 };
 
 /// Canonical Huffman decoder driven by code lengths alone (the form DEFLATE
-/// transmits). Decode() is table-driven: a flat root table indexed by the
-/// next kRootBits stream bits resolves every code up to that length in one
-/// lookup, and longer codes indirect through a per-prefix subtable — the
-/// classic zlib/miniz layout. DecodeReference() keeps the original
-/// first-code/offset bit walk as the executable spec; the two return
-/// identical symbols and identical error statuses on every stream.
+/// transmits). DecodeMany() is table-driven: a flat root table indexed by
+/// the next kRootBits stream bits resolves every code up to that length in
+/// one lookup, and longer codes indirect through a per-prefix subtable — the
+/// classic zlib/miniz layout. Decode() is DecodeMany() for one symbol.
+/// DecodeReference() keeps the original first-code/offset bit walk as the
+/// executable spec; all three return identical symbols and identical error
+/// statuses on every stream, and leave the reader in the same state.
 class HuffmanDecoder {
  public:
   /// Initializes from per-symbol code lengths: lengths[s] is symbol s's
@@ -54,6 +55,12 @@ class HuffmanDecoder {
   /// length outside 0..15 or a symbol past the alphabet is Corruption; the
   /// code checks are the dense Init's. The dense Init is a wrapper over this.
   Status Init(std::vector<SymbolLength> pairs, size_t alphabet_size);
+
+  /// Decodes `count` symbols into `out` in one loop over the lookup table.
+  /// At the first symbol that fails it returns the status Decode() would
+  /// have returned there, with the reader in the state Decode() would have
+  /// left; out[0..k) then hold the k symbols decoded before it.
+  Status DecodeMany(BitReader& reader, int* out, size_t count) const;
 
   /// Decodes one symbol from the reader via the lookup table.
   Result<int> Decode(BitReader& reader) const;

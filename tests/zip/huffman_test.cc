@@ -467,6 +467,158 @@ TEST(HuffmanTest, PairBuildRejectsSymbolPastAlphabetAndLongLengths) {
             StatusCode::kInvalidArgument);
 }
 
+// What one decode path did with a stream: the symbols it produced before
+// stopping, its terminal status, and where it left the reader.
+struct DecodeTrace {
+  std::vector<int> symbols;
+  std::string status = "OK";
+  size_t remaining_bits = 0;
+  size_t bytes_consumed = 0;
+
+  bool operator==(const DecodeTrace& o) const {
+    return symbols == o.symbols && status == o.status &&
+           remaining_bits == o.remaining_bits &&
+           bytes_consumed == o.bytes_consumed;
+  }
+};
+
+enum class DecodePath { kDecode, kReference, kMany, kManyPieces };
+
+// Decodes up to `count` symbols of `bytes` along `path`, stopping at the
+// first failure. kManyPieces splits the count into random-sized DecodeMany
+// calls; the many paths also check that nothing past the failing symbol was
+// written.
+DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
+                        const std::vector<uint8_t>& bytes, size_t count,
+                        DecodePath path, Rng& rng) {
+  DecodeTrace trace;
+  BitReader reader(bytes);
+  if (path == DecodePath::kDecode || path == DecodePath::kReference) {
+    for (size_t i = 0; i < count; ++i) {
+      Result<int> sym = path == DecodePath::kDecode
+                            ? decoder.Decode(reader)
+                            : decoder.DecodeReference(reader);
+      if (!sym.ok()) {
+        trace.status = sym.status().ToString();
+        break;
+      }
+      trace.symbols.push_back(*sym);
+    }
+  } else {
+    std::vector<int> out(count, -1);
+    size_t pos = 0;
+    while (pos < count) {
+      const size_t piece = path == DecodePath::kMany
+                               ? count
+                               : std::min(count - pos, 1 + rng.UniformInt(40));
+      const Status s = decoder.DecodeMany(reader, out.data() + pos, piece);
+      if (!s.ok()) {
+        trace.status = s.ToString();
+        break;
+      }
+      pos += piece;
+    }
+    const size_t decoded = static_cast<size_t>(
+        std::find(out.begin(), out.end(), -1) - out.begin());
+    trace.symbols.assign(out.begin(), out.begin() + decoded);
+    for (size_t i = decoded; i < count; ++i) EXPECT_EQ(out[i], -1) << i;
+  }
+  trace.remaining_bits = reader.RemainingBits();
+  trace.bytes_consumed = reader.BytesConsumed();
+  return trace;
+}
+
+// Differential check of the batched decode: over seeded random codes (every
+// length 1..15, single-symbol codes, SZ's 65,537-symbol alphabet with its
+// escape symbol) and over clean, truncated, bit-flipped and random streams,
+// DecodeMany (whole or in pieces), repeated Decode and DecodeReference give
+// the same symbols, the same status code and message, and leave the reader
+// at the same RemainingBits and BytesConsumed.
+TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
+  Rng rng(1919);
+  bool saw_length[16] = {};
+  int failures = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    size_t alphabet = 0;
+    std::vector<SymbolLength> code;
+    switch (trial % 4) {
+      case 0:  // Random skewed code.
+        alphabet = 2 + rng.UniformInt(600);
+        code = RandomCode(CodeKind::kValid, alphabet, rng);
+        break;
+      case 1:  // One symbol, any length.
+        alphabet = 1 + rng.UniformInt(300);
+        code = RandomCode(CodeKind::kSingle, alphabet, rng);
+        break;
+      case 2: {  // Doubling frequencies reach the 15-bit limit.
+        const size_t used = 16 + rng.UniformInt(16);
+        alphabet = used;
+        std::vector<uint64_t> freqs(used);
+        for (size_t i = 0; i < used; ++i) {
+          freqs[i] = (uint64_t{1} << i) + rng.UniformInt(3);
+        }
+        Result<std::vector<int>> lengths = BuildCodeLengths(freqs, 15);
+        ASSERT_TRUE(lengths.ok());
+        for (size_t i = 0; i < used; ++i) {
+          code.push_back({static_cast<uint32_t>(i), (*lengths)[i]});
+        }
+        break;
+      }
+      default:  // SZ's alphabet; the rarest symbol becomes the escape.
+        alphabet = 65537;
+        code = RandomCode(CodeKind::kValid, alphabet, rng);
+        std::max_element(code.begin(), code.end(),
+                         [](const SymbolLength& a, const SymbolLength& b) {
+                           return a.length < b.length;
+                         })
+            ->symbol = 65536;
+        break;
+    }
+    HuffmanDecoder decoder;
+    ASSERT_TRUE(decoder.Init(code, alphabet).ok()) << "trial " << trial;
+    for (const SymbolLength& p : code) saw_length[p.length] = true;
+
+    const std::vector<uint32_t> codes =
+        CanonicalCodes(DenseFromPairs(code, alphabet));
+    const size_t message_size = rng.UniformInt(300);
+    BitWriter writer;
+    for (size_t i = 0; i < message_size; ++i) {
+      const SymbolLength& p = code[rng.UniformInt(code.size())];
+      writer.WriteHuffmanCode(codes[p.symbol], p.length);
+    }
+    std::vector<uint8_t> clean = writer.Finish();
+    std::vector<uint8_t> truncated = clean;
+    truncated.resize(rng.UniformInt(clean.size() + 1));
+    std::vector<uint8_t> flipped = clean;
+    if (!flipped.empty()) {
+      flipped[rng.UniformInt(flipped.size())] ^=
+          static_cast<uint8_t>(1 + rng.UniformInt(255));
+    }
+    std::vector<uint8_t> garbage(rng.UniformInt(64));
+    for (auto& byte : garbage) byte = static_cast<uint8_t>(rng.UniformInt(256));
+
+    for (const std::vector<uint8_t>* bytes :
+         {&clean, &truncated, &flipped, &garbage}) {
+      // Past the message, so every stream ends in a failure.
+      const size_t count = message_size + 1 + rng.UniformInt(20);
+      const DecodeTrace expected =
+          TraceDecode(decoder, *bytes, count, DecodePath::kReference, rng);
+      if (expected.status != "OK") ++failures;
+      for (DecodePath path : {DecodePath::kDecode, DecodePath::kMany,
+                              DecodePath::kManyPieces}) {
+        const DecodeTrace got = TraceDecode(decoder, *bytes, count, path, rng);
+        ASSERT_TRUE(got == expected)
+            << "trial " << trial << " path " << static_cast<int>(path)
+            << ": " << got.status << " after " << got.symbols.size()
+            << " symbols, want " << expected.status << " after "
+            << expected.symbols.size();
+      }
+    }
+  }
+  for (int l = 1; l <= 15; ++l) EXPECT_TRUE(saw_length[l]) << "length " << l;
+  EXPECT_GT(failures, 400);
+}
+
 // SZ and LFZip carry their Huffman table as (u32 symbol, u8 length) pairs.
 // Each mutant below damages that table in one way; the decode status (or,
 // for a table that still decodes, whether the values stay the same) is pinned
