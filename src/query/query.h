@@ -99,13 +99,17 @@ Result<QueryResult> EvaluateGroupedSeries(const std::vector<SeriesInput>& series
 
 /// Runs a grouped query over a directory of `.lts` stores: every
 /// `<name>.lts` (minus `pred_suffix` stores) is an actual series, read over
-/// [t0, t1] with chunk decodes fanned out on `jobs` threads, paired with
-/// `<name><pred_suffix>.lts` when metrics are requested. Aggregates go
-/// through store/query segment pushdown instead of decoding. The merge is
-/// canonical-order, so the result — and FormatQueryResult's text — is
-/// byte-identical for every `jobs`. Carries the "query_fetch" failpoint in
-/// the per-series fetch; on injected failure the first error in canonical
-/// series order is returned.
+/// [t0, t1] with the per-series work fanned out on `jobs` threads, paired
+/// with `<name><pred_suffix>.lts` when metrics are requested. A metric query
+/// decodes each pair straight into its slice of the group's pooled vectors;
+/// the result equals EvaluateGroupedSeries over ReadRange'd series.
+/// Aggregate-only queries go through store/query segment pushdown instead
+/// of decoding. The merge is canonical-order, so the result — and
+/// FormatQueryResult's text — is byte-identical for every `jobs`. Carries
+/// the "query_fetch" failpoint in the per-series fetch. On failure the
+/// first fetch error in canonical series order is returned (a series'
+/// fetch error is the first of: open actual, decode actual, open forecast,
+/// decode forecast), then the first misaligned pair, then group errors.
 Result<QueryResult> QueryStoreDir(const std::string& dir,
                                   const QueryOptions& options);
 

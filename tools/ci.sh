@@ -145,8 +145,23 @@ query_smoke() {
     "${bin}" query "${qdir}" --agg MIN,MAX,MEAN --group-by series \
       --jobs "${jobs}" >"${qdir}/agg_j${jobs}.txt" 2>/dev/null
   done
+  # Windowed metric + aggregate query over the SZ pair and a Solar pair whose
+  # forecast store has 100-point chunks: the range and the chunk spans cut
+  # chunks mid-way, so each series' overlap is copied into its slice of the
+  # one shared group buffer (under ASan, UBSan and TSan in those legs).
+  local wdir="${qdir}/window"
+  mkdir -p "${wdir}"
+  cp "${qdir}/sz_north.lts" "${qdir}/sz_north.pred.lts" "${wdir}/"
+  "${bin}" store ingest PMC 0.05 Solar "${wdir}/solar_south.lts" >/dev/null
+  "${bin}" store ingest SWING 0.10 Solar "${wdir}/solar_south.pred.lts" \
+    --span 100 >/dev/null
+  for jobs in 1 4; do
+    "${bin}" query "${wdir}" --metrics rmse,mae --agg MIN,MEAN,COUNT \
+      --range 1641000000 1643000000 --group-by all --jobs "${jobs}" \
+      >"${qdir}/win_j${jobs}.txt" 2>/dev/null
+  done
   local out
-  for out in j agg_j; do
+  for out in j agg_j win_j; do
     if ! cmp -s "${qdir}/${out}1.txt" "${qdir}/${out}4.txt"; then
       echo "query_smoke: --jobs 1 vs --jobs 4 outputs differ (${out})"
       diff "${qdir}/${out}1.txt" "${qdir}/${out}4.txt" || true
@@ -154,7 +169,8 @@ query_smoke() {
     fi
   done
   echo "query_smoke: deterministic across jobs" \
-    "($(wc -l <"${qdir}/j1.txt") + $(wc -l <"${qdir}/agg_j1.txt") lines)"
+    "($(wc -l <"${qdir}/j1.txt") + $(wc -l <"${qdir}/agg_j1.txt") +" \
+    "$(wc -l <"${qdir}/win_j1.txt") lines)"
 }
 
 # Scalar-vs-SIMD byte-identity, run in every leg (including the filtered
