@@ -2,7 +2,7 @@
 // binary (no google-benchmark): it re-implements the Gorilla and Chimp bit
 // formats on the bit-at-a-time ReferenceBitWriter/ReferenceBitReader — the
 // shape the production coders had before the batched 64-bit streams and the
-// SIMD XOR pass — and requires
+// one-pass XOR-delta kernel (simd::XorDeltas) — and requires
 //
 //   * byte identity: the reference encoder's payload must equal the payload
 //     the production coder emits (the formats are contractually identical),

@@ -61,12 +61,10 @@ Result<std::vector<uint8_t>> ChimpCompressor::Compress(
   zip::BitWriter bits;
   bits.WriteBitsMsbFirst(DoubleToBits(series[0]), 64);
 
-  // One vectorized pass over the XOR deltas; the stream depends only on
-  // these words, so the encoding is unchanged.
+  // One pass over the XOR deltas; the stream depends only on these words.
   std::vector<uint64_t> xors(series.size() > 1 ? series.size() - 1 : 0);
   if (!xors.empty()) {
-    simd::Active().xor_deltas(series.values().data(), series.size(),
-                              xors.data());
+    simd::XorDeltas(series.values().data(), series.size(), xors.data());
   }
 
   int prev_leading = -1;

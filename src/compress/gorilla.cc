@@ -40,12 +40,11 @@ Result<std::vector<uint8_t>> GorillaCompressor::Compress(
   zip::BitWriter bits;
   bits.WriteBitsMsbFirst(DoubleToBits(series[0]), 64);
 
-  // Precompute all consecutive XOR deltas in one vectorized pass; the bit
-  // format is a pure function of these words, so the stream is unchanged.
+  // Precompute all consecutive XOR deltas in one pass; the bit format is a
+  // pure function of these words.
   std::vector<uint64_t> xors(series.size() > 1 ? series.size() - 1 : 0);
   if (!xors.empty()) {
-    simd::Active().xor_deltas(series.values().data(), series.size(),
-                              xors.data());
+    simd::XorDeltas(series.values().data(), series.size(), xors.data());
   }
 
   int prev_leading = -1;

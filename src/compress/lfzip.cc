@@ -20,9 +20,7 @@ enum ValueClass : uint8_t { kZero = 0, kNonZero = 1 };
 // NLMS filter shared by Compress and Decompress. The filter adapts on the
 // *reconstructed* stream only, so as long as both sides call Predict/Update
 // with identical arguments in identical order, the decoder replays the
-// encoder's weight trajectory bit-for-bit. Everything here is plain scalar
-// arithmetic — no dispatched kernels — so the trajectory is also identical
-// across SIMD tiers (the scalar/SIMD byte-identity gate).
+// encoder's weight trajectory bit-for-bit.
 class NlmsPredictor {
  public:
   NlmsPredictor(size_t order, double step)
@@ -116,10 +114,8 @@ Result<std::vector<uint8_t>> LfzipCompressor::Compress(
 
   for (size_t begin = 0; begin < w.size(); begin += options_.block_size) {
     const size_t end = std::min(begin + options_.block_size, w.size());
-    // min is order-independent, so the kernel is exact at every SIMD level.
-    // CheckFiniteValues above guarantees the no-NaN precondition.
-    const double min_mag = simd::Active().min_abs(w.data() + begin,
-                                                  end - begin);
+    // CheckFiniteValues above guarantees MinAbs's no-NaN precondition.
+    const double min_mag = simd::MinAbs(w.data() + begin, end - begin);
     // Store the step as f32 and quantize with the rounded-down value so
     // encoder and decoder agree bit-for-bit and the bound still holds.
     float bound32 = static_cast<float>(error_bound * min_mag);

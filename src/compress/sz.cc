@@ -32,29 +32,28 @@ struct BlockModel {
 };
 
 // Chooses the predictor with the smallest total absolute residual over the
-// raw block values (the sampling-based estimation SZ performs). All sums go
-// through the dispatched kernels; every tier uses the same four-lane
-// accumulation order, so the choice (and hence the stream) is identical
-// across SIMD levels. The stream is self-describing either way — the chosen
-// model is transmitted per block — so a different choice would only be a
-// compatibility concern across *builds*, not a correctness one.
+// raw block values (the sampling-based estimation SZ performs). The sums run
+// through the core/simd kernels, whose four-lane accumulation order is
+// fixed, so the choice (and hence the stream) is the same on every host. The
+// stream is self-describing either way — the chosen model is transmitted per
+// block — so a different choice would only be a compatibility concern across
+// *builds*, not a correctness one.
 void ChooseBlockModel(const std::vector<double>& w, size_t begin, size_t end,
                       double prev_value, BlockModel* model) {
   const size_t n = end - begin;
-  const simd::Kernels& k = simd::Active();
   const double* block = w.data() + begin;
 
-  const double lorenzo_cost = k.sum_abs_diff_seq(block, n, prev_value);
+  const double lorenzo_cost = simd::SumAbsDiffSeq(block, n, prev_value);
 
-  const double mean = k.sum(block, n) / static_cast<double>(n);
-  const double mean_cost = k.sum_abs_dev_affine(block, n, mean, 0.0);
+  const double mean = simd::Sum(block, n) / static_cast<double>(n);
+  const double mean_cost = simd::SumAbsDevAffine(block, n, mean, 0.0);
 
   // Least-squares line over local indices 0..n-1.
   double a = mean;
   double b = 0.0;
   if (n >= 2) {
     const double x_mean = static_cast<double>(n - 1) / 2.0;
-    const double sxy = k.dot_ramp(block, n, x_mean, mean);
+    const double sxy = simd::DotRamp(block, n, x_mean, mean);
     // Σ(i - x_mean)² has the closed form n(n² - 1)/12: every dx² is an exact
     // quarter-integer and the partial sums stay far below 2^53, so this is
     // bit-equal to the old accumulation loop.
@@ -63,7 +62,7 @@ void ChooseBlockModel(const std::vector<double>& w, size_t begin, size_t end,
     b = sxx > 0.0 ? sxy / sxx : 0.0;
     a = mean - b * x_mean;
   }
-  const double linear_cost = k.sum_abs_dev_affine(block, n, a, b);
+  const double linear_cost = simd::SumAbsDevAffine(block, n, a, b);
 
   if (lorenzo_cost <= mean_cost && lorenzo_cost <= linear_cost) {
     model->predictor = PredictorId::kLorenzo;
@@ -149,10 +148,8 @@ Result<std::vector<uint8_t>> SzCompressor::Compress(
   for (size_t begin = 0; begin < w.size(); begin += options_.block_size) {
     const size_t end = std::min(begin + options_.block_size, w.size());
     BlockModel model;
-    // min is order-independent, so the kernel is exact at every level.
-    // CheckFiniteValues above guarantees the no-NaN precondition.
-    const double min_mag = simd::Active().min_abs(w.data() + begin,
-                                                  end - begin);
+    // CheckFiniteValues above guarantees MinAbs's no-NaN precondition.
+    const double min_mag = simd::MinAbs(w.data() + begin, end - begin);
     // Store the bound as f32 and quantize with the rounded-down value so
     // encoder and decoder agree bit-for-bit and the bound still holds.
     float bound32 = static_cast<float>(error_bound * min_mag);
@@ -171,8 +168,7 @@ Result<std::vector<uint8_t>> SzCompressor::Compress(
 
     const double delta = static_cast<double>(bound32);
     // Mean and linear predictions are independent of the reconstruction
-    // chain, so their codes vectorize: one quantize_affine pass fills the
-    // whole block. Lorenzo predicts from prev_rec and stays serial. Both
+    // chain, so one QuantizeAffine pass fills the whole block. Lorenzo predicts from prev_rec and stays serial. Both
     // paths round half-to-even (nearbyint); any code the rounding mode
     // shifts still passes through the pointwise verification below, and the
     // stream carries its own codes, so decode is unaffected.
@@ -183,8 +179,8 @@ Result<std::vector<uint8_t>> SzCompressor::Compress(
           model.predictor == PredictorId::kMeanLorenzo ? model.mean : model.a;
       const double pb =
           model.predictor == PredictorId::kMeanLorenzo ? 0.0 : model.b;
-      simd::Active().quantize_affine(w.data() + begin, end - begin, pa, pb,
-                                     2.0 * delta, code_scratch.data());
+      simd::QuantizeAffine(w.data() + begin, end - begin, pa, pb,
+                           2.0 * delta, code_scratch.data());
     }
     for (size_t i = begin; i < end; ++i) {
       const double pred = PredictValue(model, i - begin, prev_rec);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <tuple>
@@ -14,7 +13,6 @@
 #include "conform/oracles.h"
 #include "conform/stream_oracle.h"
 #include "core/seed.h"
-#include "core/simd.h"
 #include "core/thread_pool.h"
 
 namespace lossyts::conform {
@@ -139,137 +137,6 @@ Result<ConformSummary> RunConform(const ConformOptions& options) {
   pool.Wait();
 
   // Execution order is pool-dependent; the report is not.
-  std::sort(summary.failures.begin(), summary.failures.end(), FailureLess);
-  return summary;
-}
-
-namespace {
-
-// Bitwise comparison of two decoded series; returns a human-readable
-// difference description, or empty when identical. Bit equality (not ==) so
-// a -0.0/+0.0 or NaN-payload divergence between levels still fails.
-std::string DiffSeries(const TimeSeries& a, const TimeSeries& b) {
-  if (a.size() != b.size()) {
-    return "decoded sizes differ: " + std::to_string(a.size()) + " vs " +
-           std::to_string(b.size());
-  }
-  const std::vector<double>& av = a.values();
-  const std::vector<double>& bv = b.values();
-  for (size_t i = 0; i < av.size(); ++i) {
-    uint64_t abits;
-    uint64_t bbits;
-    std::memcpy(&abits, &av[i], sizeof(abits));
-    std::memcpy(&bbits, &bv[i], sizeof(bbits));
-    if (abits != bbits) {
-      return "decoded values differ at index " + std::to_string(i);
-    }
-  }
-  return "";
-}
-
-std::string DiffBlobs(const std::vector<uint8_t>& a,
-                      const std::vector<uint8_t>& b) {
-  if (a.size() != b.size()) {
-    return "blob sizes differ: " + std::to_string(a.size()) + " vs " +
-           std::to_string(b.size());
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return "blobs differ at byte " + std::to_string(i);
-  }
-  return "";
-}
-
-}  // namespace
-
-Result<ConformSummary> RunScalarSimdCompare(const ConformOptions& options) {
-  if (options.cases_per_family <= 0) {
-    return Status::InvalidArgument("cases_per_family must be positive");
-  }
-  const std::vector<std::string>& codec_names =
-      options.codecs.empty() ? AllCodecNames() : options.codecs;
-  std::vector<double> bounds = options.error_bounds;
-  if (bounds.empty()) bounds = {0.01, 0.05, 0.2, 0.8};
-  for (const double eb : bounds) {
-    if (Status s = compress::CheckErrorBound(eb); !s.ok()) return s;
-  }
-  std::vector<std::unique_ptr<compress::Compressor>> codecs;
-  codecs.reserve(codec_names.size());
-  for (const std::string& name : codec_names) {
-    Result<std::unique_ptr<compress::Compressor>> codec =
-        compress::MakeCompressor(name);
-    if (!codec.ok()) return codec.status();
-    codecs.push_back(std::move(*codec));
-  }
-
-  ConformSummary summary;
-  std::vector<simd::Level> levels;
-  for (simd::Level l : {simd::Level::kSse2, simd::Level::kAvx2}) {
-    if (static_cast<int>(l) <= static_cast<int>(simd::DetectedLevel())) {
-      levels.push_back(l);
-    }
-  }
-  if (levels.empty()) return summary;
-
-  const std::vector<CorpusCase> corpus =
-      GenerateCorpus(options.base_seed, options.cases_per_family);
-  const simd::Level entry_level = simd::ActiveLevel();
-
-  for (const std::unique_ptr<compress::Compressor>& codec_ptr : codecs) {
-    const compress::Compressor& codec = *codec_ptr;
-    const size_t bound_count = IsLosslessCodec(codec.name()) ? 1
-                                                             : bounds.size();
-    for (size_t b = 0; b < bound_count; ++b) {
-      const double eb = bounds[b];
-      for (const CorpusCase& c : corpus) {
-        const auto fail = [&](const char* oracle, std::string detail) {
-          summary.failures.push_back(ConformFailure{
-              std::string(codec.name()), eb, c.family, c.index, c.seed,
-              oracle, std::move(detail)});
-        };
-        simd::SetLevel(simd::Level::kScalar);
-        const Result<std::vector<uint8_t>> scalar_blob =
-            codec.Compress(c.series, eb);
-        Result<TimeSeries> scalar_dec =
-            Status::Internal("scalar compress failed");
-        if (scalar_blob.ok()) scalar_dec = codec.Decompress(*scalar_blob);
-
-        for (const simd::Level level : levels) {
-          simd::SetLevel(level);
-          ++summary.cases;
-          const Result<std::vector<uint8_t>> simd_blob =
-              codec.Compress(c.series, eb);
-          if (scalar_blob.ok() != simd_blob.ok()) {
-            fail("scalar-simd-bytes",
-                 std::string("compress ok-ness differs at level ") +
-                     simd::LevelName(level));
-            continue;
-          }
-          if (!scalar_blob.ok()) continue;  // Both rejected: agreement.
-          if (std::string d = DiffBlobs(*scalar_blob, *simd_blob);
-              !d.empty()) {
-            fail("scalar-simd-bytes",
-                 d + " at level " + simd::LevelName(level));
-            continue;
-          }
-          const Result<TimeSeries> simd_dec = codec.Decompress(*scalar_blob);
-          if (scalar_dec.ok() != simd_dec.ok()) {
-            fail("scalar-simd-decode",
-                 std::string("decode ok-ness differs at level ") +
-                     simd::LevelName(level));
-            continue;
-          }
-          if (scalar_dec.ok()) {
-            if (std::string d = DiffSeries(*scalar_dec, *simd_dec);
-                !d.empty()) {
-              fail("scalar-simd-decode",
-                   d + " at level " + simd::LevelName(level));
-            }
-          }
-        }
-      }
-    }
-  }
-  simd::SetLevel(entry_level);
   std::sort(summary.failures.begin(), summary.failures.end(), FailureLess);
   return summary;
 }

@@ -61,17 +61,6 @@ std::string FormatFailure(const ConformFailure& failure);
 /// violations come back inside the summary.
 Result<ConformSummary> RunConform(const ConformOptions& options);
 
-/// Byte-compares every codec's output across SIMD dispatch levels: for each
-/// (codec, ε, corpus case), the blob compressed at the scalar level must be
-/// byte-identical to the blob compressed at each hardware level the host
-/// supports, and decoding the scalar blob at each level must reproduce the
-/// scalar decode bit-for-bit. Failures carry oracle "scalar-simd-bytes" or
-/// "scalar-simd-decode". Runs single-threaded — the dispatch level is
-/// process-global state — and restores the entry level before returning.
-/// `mutate`, `random_bit_flips` and `jobs` are ignored. On a host with no
-/// SIMD tier above scalar the run is vacuous (cases == 0) and passes.
-Result<ConformSummary> RunScalarSimdCompare(const ConformOptions& options);
-
 }  // namespace lossyts::conform
 
 #endif  // LOSSYTS_CONFORM_HARNESS_H_

@@ -1,23 +1,13 @@
 #include "core/simd.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define LOSSYTS_SIMD_X86 1
-#endif
 
 // This translation unit is compiled with -ffp-contract=off (see the core
-// CMakeLists): the scalar bindings must execute the exact mul-then-add
-// sequences the vector bindings execute, and a fused multiply-add in either
-// would break the byte-identical-output contract the conform simdcheck pass
-// enforces.
+// CMakeLists): a fused multiply-add would round differently from the
+// mul-then-add the identity contract fixes, and the encoders' output bytes
+// would then depend on the compiler and the host.
 
 namespace lossyts::simd {
 
@@ -29,538 +19,79 @@ inline uint64_t BitsOf(double v) {
   return b;
 }
 
-inline uint32_t LoadLe32(const uint8_t* p) {
-  uint32_t w;
-  std::memcpy(&w, p, sizeof(w));
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-  w = __builtin_bswap32(w);
-#endif
-  return w;
-}
-
-// ---------------------------------------------------------------------------
-// Scalar bindings. These mirror the vector lane discipline exactly: lane
-// j = i % 4 accumulates its indices in increasing order, and the reduction
-// is (l0 + l1) + (l2 + l3). Element-wise kernels are plain IEEE ops, which
-// vector units compute bit-identically.
-// ---------------------------------------------------------------------------
-
-void XorDeltasScalar(const double* v, size_t n, uint64_t* out) {
-  uint64_t prev = BitsOf(v[0]);
-  for (size_t i = 1; i < n; ++i) {
-    const uint64_t cur = BitsOf(v[i]);
-    out[i - 1] = cur ^ prev;
-    prev = cur;
-  }
-}
-
-double MinAbsScalar(const double* v, size_t n) {
-  double m = std::fabs(v[0]);
-  for (size_t i = 1; i < n; ++i) m = std::min(m, std::fabs(v[i]));
-  return m;
-}
-
-double SumScalar(const double* v, size_t n) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < n; ++i) acc[i & 3] += v[i];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double SumAbsDevAffineScalar(const double* v, size_t n, double a, double b) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < n; ++i) {
-    const double pred = a + b * static_cast<double>(i);
-    acc[i & 3] += std::fabs(v[i] - pred);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double SumAbsDiffSeqScalar(const double* v, size_t n, double prev) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  double p = prev;
-  for (size_t i = 0; i < n; ++i) {
-    acc[i & 3] += std::fabs(v[i] - p);
-    p = v[i];
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double DotRampScalar(const double* v, size_t n, double x_mean, double v_mean) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = static_cast<double>(i) - x_mean;
-    acc[i & 3] += dx * (v[i] - v_mean);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-void QuantizeAffineScalar(const double* v, size_t n, double a, double b,
-                          double two_delta, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double pred = a + b * static_cast<double>(i);
-    out[i] = std::nearbyint((v[i] - pred) / two_delta);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE reflected). The byte-at-a-time loop is the kScalar binding
-// (and the bench's self-relative baseline); slice-by-8 serves every vector
-// tier. Both walk the same polynomial, so the result is always identical.
-// ---------------------------------------------------------------------------
-
-struct Crc32Tables {
-  uint32_t t[8][256];
-};
-
-const Crc32Tables& CrcTables() {
-  static const Crc32Tables tables = [] {
-    Crc32Tables tb;
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      tb.t[0][i] = c;
-    }
-    for (int s = 1; s < 8; ++s) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        const uint32_t p = tb.t[s - 1][i];
-        tb.t[s][i] = (p >> 8) ^ tb.t[0][p & 0xFFu];
-      }
-    }
-    return tb;
-  }();
-  return tables;
-}
-
-uint32_t Crc32ByteLoop(uint32_t state, const uint8_t* data, size_t n) {
-  const Crc32Tables& tb = CrcTables();
-  for (size_t i = 0; i < n; ++i) {
-    state = tb.t[0][(state ^ data[i]) & 0xFFu] ^ (state >> 8);
-  }
-  return state;
-}
-
-uint32_t Crc32Slice8(uint32_t state, const uint8_t* data, size_t n) {
-  const Crc32Tables& tb = CrcTables();
-  while (n >= 8) {
-    const uint32_t lo = LoadLe32(data) ^ state;
-    const uint32_t hi = LoadLe32(data + 4);
-    state = tb.t[7][lo & 0xFFu] ^ tb.t[6][(lo >> 8) & 0xFFu] ^
-            tb.t[5][(lo >> 16) & 0xFFu] ^ tb.t[4][lo >> 24] ^
-            tb.t[3][hi & 0xFFu] ^ tb.t[2][(hi >> 8) & 0xFFu] ^
-            tb.t[1][(hi >> 16) & 0xFFu] ^ tb.t[0][hi >> 24];
-    data += 8;
-    n -= 8;
-  }
-  return Crc32ByteLoop(state, data, n);
-}
-
-#ifdef LOSSYTS_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 bindings (baseline x86-64): two 2-wide vectors model the same four
-// lanes the scalar/AVX2 code uses. quantize_affine stays on the scalar
-// binding — SSE2 has no packed round instruction (roundpd is SSE4.1).
-// ---------------------------------------------------------------------------
-
-void XorDeltasSse2(const double* v, size_t n, uint64_t* out) {
-  size_t i = 1;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    const __m128i prv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i - 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i - 1),
-                     _mm_xor_si128(cur, prv));
-  }
-  for (; i < n; ++i) out[i - 1] = BitsOf(v[i]) ^ BitsOf(v[i - 1]);
-}
-
-double MinAbsSse2(const double* v, size_t n) {
-  const __m128d sign = _mm_set1_pd(-0.0);
-  __m128d m01 = _mm_set1_pd(std::fabs(v[0]));
-  __m128d m23 = m01;
+// The 4-lane reduction every summing kernel shares. Four named accumulators
+// (not an indexed acc[i & 3] array, which keeps the lanes in memory and
+// serializes the loop) take indices i % 4 == 0..3 in increasing i; the
+// remainder after the last full group goes to lanes 0, 1, 2.
+template <typename Term>
+inline double ReduceFourLanes(size_t n, Term term) {
+  double l0 = 0.0;
+  double l1 = 0.0;
+  double l2 = 0.0;
+  double l3 = 0.0;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    m01 = _mm_min_pd(m01, _mm_andnot_pd(sign, _mm_loadu_pd(v + i)));
-    m23 = _mm_min_pd(m23, _mm_andnot_pd(sign, _mm_loadu_pd(v + i + 2)));
+    l0 += term(i);
+    l1 += term(i + 1);
+    l2 += term(i + 2);
+    l3 += term(i + 3);
   }
-  alignas(16) double m[4];
-  _mm_store_pd(m, m01);
-  _mm_store_pd(m + 2, m23);
-  double r = std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
-  for (; i < n; ++i) r = std::min(r, std::fabs(v[i]));
-  return r;
-}
-
-double SumSse2(const double* v, size_t n) {
-  alignas(16) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  if (n >= 4) {
-    __m128d a01 = _mm_setzero_pd();
-    __m128d a23 = _mm_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      a01 = _mm_add_pd(a01, _mm_loadu_pd(v + i));
-      a23 = _mm_add_pd(a23, _mm_loadu_pd(v + i + 2));
-    }
-    _mm_store_pd(acc, a01);
-    _mm_store_pd(acc + 2, a23);
-  }
-  for (; i < n; ++i) acc[i & 3] += v[i];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double SumAbsDevAffineSse2(const double* v, size_t n, double a, double b) {
-  alignas(16) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m128d sign = _mm_set1_pd(-0.0);
-  const __m128d va = _mm_set1_pd(a);
-  const __m128d vb = _mm_set1_pd(b);
-  __m128d i01 = _mm_set_pd(1.0, 0.0);
-  __m128d i23 = _mm_set_pd(3.0, 2.0);
-  const __m128d four = _mm_set1_pd(4.0);
-  size_t i = 0;
-  if (n >= 4) {
-    __m128d a01 = _mm_setzero_pd();
-    __m128d a23 = _mm_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      const __m128d p01 = _mm_add_pd(va, _mm_mul_pd(vb, i01));
-      const __m128d p23 = _mm_add_pd(va, _mm_mul_pd(vb, i23));
-      a01 = _mm_add_pd(
-          a01, _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(v + i), p01)));
-      a23 = _mm_add_pd(
-          a23, _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(v + i + 2), p23)));
-      i01 = _mm_add_pd(i01, four);
-      i23 = _mm_add_pd(i23, four);
-    }
-    _mm_store_pd(acc, a01);
-    _mm_store_pd(acc + 2, a23);
-  }
-  for (; i < n; ++i) {
-    const double pred = a + b * static_cast<double>(i);
-    acc[i & 3] += std::fabs(v[i] - pred);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double SumAbsDiffSeqSse2(const double* v, size_t n, double prev) {
-  alignas(16) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m128d sign = _mm_set1_pd(-0.0);
-  size_t i = 0;
-  for (; i < n && i < 4; ++i) {
-    acc[i & 3] += std::fabs(v[i] - (i == 0 ? prev : v[i - 1]));
-  }
-  if (i + 4 <= n) {
-    __m128d a01 = _mm_load_pd(acc);
-    __m128d a23 = _mm_load_pd(acc + 2);
-    for (; i + 4 <= n; i += 4) {
-      a01 = _mm_add_pd(a01, _mm_andnot_pd(sign, _mm_sub_pd(
-                                _mm_loadu_pd(v + i), _mm_loadu_pd(v + i - 1))));
-      a23 = _mm_add_pd(a23,
-                       _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(v + i + 2),
-                                                      _mm_loadu_pd(v + i + 1))));
-    }
-    _mm_store_pd(acc, a01);
-    _mm_store_pd(acc + 2, a23);
-  }
-  for (; i < n; ++i) acc[i & 3] += std::fabs(v[i] - v[i - 1]);
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-double DotRampSse2(const double* v, size_t n, double x_mean, double v_mean) {
-  alignas(16) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m128d vx = _mm_set1_pd(x_mean);
-  const __m128d vm = _mm_set1_pd(v_mean);
-  __m128d i01 = _mm_set_pd(1.0, 0.0);
-  __m128d i23 = _mm_set_pd(3.0, 2.0);
-  const __m128d four = _mm_set1_pd(4.0);
-  size_t i = 0;
-  if (n >= 4) {
-    __m128d a01 = _mm_setzero_pd();
-    __m128d a23 = _mm_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      const __m128d dx01 = _mm_sub_pd(i01, vx);
-      const __m128d dx23 = _mm_sub_pd(i23, vx);
-      a01 = _mm_add_pd(a01, _mm_mul_pd(dx01, _mm_sub_pd(_mm_loadu_pd(v + i),
-                                                        vm)));
-      a23 = _mm_add_pd(a23, _mm_mul_pd(dx23, _mm_sub_pd(
-                                                 _mm_loadu_pd(v + i + 2), vm)));
-      i01 = _mm_add_pd(i01, four);
-      i23 = _mm_add_pd(i23, four);
-    }
-    _mm_store_pd(acc, a01);
-    _mm_store_pd(acc + 2, a23);
-  }
-  for (; i < n; ++i) {
-    const double dx = static_cast<double>(i) - x_mean;
-    acc[i & 3] += dx * (v[i] - v_mean);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 bindings: one 4-wide vector is exactly the four lanes.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void XorDeltasAvx2(const double* v, size_t n,
-                                                   uint64_t* out) {
-  size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i prv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i - 1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i - 1),
-                        _mm256_xor_si256(cur, prv));
-  }
-  for (; i < n; ++i) out[i - 1] = BitsOf(v[i]) ^ BitsOf(v[i - 1]);
-}
-
-__attribute__((target("avx2"))) double MinAbsAvx2(const double* v, size_t n) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  __m256d vmin = _mm256_set1_pd(std::fabs(v[0]));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmin = _mm256_min_pd(vmin, _mm256_andnot_pd(sign, _mm256_loadu_pd(v + i)));
-  }
-  alignas(32) double m[4];
-  _mm256_store_pd(m, vmin);
-  double r = std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
-  for (; i < n; ++i) r = std::min(r, std::fabs(v[i]));
-  return r;
-}
-
-__attribute__((target("avx2"))) double SumAvx2(const double* v, size_t n) {
-  alignas(32) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  if (n >= 4) {
-    __m256d vacc = _mm256_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      vacc = _mm256_add_pd(vacc, _mm256_loadu_pd(v + i));
-    }
-    _mm256_store_pd(acc, vacc);
-  }
-  for (; i < n; ++i) acc[i & 3] += v[i];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-__attribute__((target("avx2"))) double SumAbsDevAffineAvx2(const double* v,
-                                                           size_t n, double a,
-                                                           double b) {
-  alignas(32) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d va = _mm256_set1_pd(a);
-  const __m256d vb = _mm256_set1_pd(b);
-  __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  size_t i = 0;
-  if (n >= 4) {
-    __m256d vacc = _mm256_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      const __m256d pred = _mm256_add_pd(va, _mm256_mul_pd(vb, idx));
-      vacc = _mm256_add_pd(
-          vacc,
-          _mm256_andnot_pd(sign, _mm256_sub_pd(_mm256_loadu_pd(v + i), pred)));
-      idx = _mm256_add_pd(idx, four);
-    }
-    _mm256_store_pd(acc, vacc);
-  }
-  for (; i < n; ++i) {
-    const double pred = a + b * static_cast<double>(i);
-    acc[i & 3] += std::fabs(v[i] - pred);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-__attribute__((target("avx2"))) double SumAbsDiffSeqAvx2(const double* v,
-                                                         size_t n,
-                                                         double prev) {
-  alignas(32) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  size_t i = 0;
-  for (; i < n && i < 4; ++i) {
-    acc[i & 3] += std::fabs(v[i] - (i == 0 ? prev : v[i - 1]));
-  }
-  if (i + 4 <= n) {
-    __m256d vacc = _mm256_load_pd(acc);
-    for (; i + 4 <= n; i += 4) {
-      vacc = _mm256_add_pd(
-          vacc, _mm256_andnot_pd(sign, _mm256_sub_pd(_mm256_loadu_pd(v + i),
-                                                     _mm256_loadu_pd(v + i -
-                                                                     1))));
-    }
-    _mm256_store_pd(acc, vacc);
-  }
-  for (; i < n; ++i) acc[i & 3] += std::fabs(v[i] - v[i - 1]);
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-__attribute__((target("avx2"))) double DotRampAvx2(const double* v, size_t n,
-                                                   double x_mean,
-                                                   double v_mean) {
-  alignas(32) double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  const __m256d vx = _mm256_set1_pd(x_mean);
-  const __m256d vm = _mm256_set1_pd(v_mean);
-  __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  size_t i = 0;
-  if (n >= 4) {
-    __m256d vacc = _mm256_setzero_pd();
-    for (; i + 4 <= n; i += 4) {
-      const __m256d dx = _mm256_sub_pd(idx, vx);
-      vacc = _mm256_add_pd(
-          vacc, _mm256_mul_pd(dx, _mm256_sub_pd(_mm256_loadu_pd(v + i), vm)));
-      idx = _mm256_add_pd(idx, four);
-    }
-    _mm256_store_pd(acc, vacc);
-  }
-  for (; i < n; ++i) {
-    const double dx = static_cast<double>(i) - x_mean;
-    acc[i & 3] += dx * (v[i] - v_mean);
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-__attribute__((target("avx2"))) void QuantizeAffineAvx2(const double* v,
-                                                        size_t n, double a,
-                                                        double b,
-                                                        double two_delta,
-                                                        double* out) {
-  const __m256d va = _mm256_set1_pd(a);
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d vtd = _mm256_set1_pd(two_delta);
-  __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d pred = _mm256_add_pd(va, _mm256_mul_pd(vb, idx));
-    const __m256d r =
-        _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(v + i), pred), vtd);
-    _mm256_storeu_pd(out + i, _mm256_round_pd(
-                                  r, _MM_FROUND_TO_NEAREST_INT |
-                                         _MM_FROUND_NO_EXC));
-    idx = _mm256_add_pd(idx, four);
-  }
-  for (; i < n; ++i) {
-    const double pred = a + b * static_cast<double>(i);
-    out[i] = std::nearbyint((v[i] - pred) / two_delta);
-  }
-}
-
-#endif  // LOSSYTS_SIMD_X86
-
-const Kernels kScalarKernels = {
-    XorDeltasScalar,    MinAbsScalar,         SumScalar,
-    SumAbsDevAffineScalar, SumAbsDiffSeqScalar, DotRampScalar,
-    QuantizeAffineScalar,  Crc32ByteLoop,
-};
-
-#ifdef LOSSYTS_SIMD_X86
-const Kernels kSse2Kernels = {
-    XorDeltasSse2,    MinAbsSse2,         SumSse2,
-    SumAbsDevAffineSse2, SumAbsDiffSeqSse2, DotRampSse2,
-    QuantizeAffineScalar /* no packed round pre-SSE4.1 */, Crc32Slice8,
-};
-const Kernels kAvx2Kernels = {
-    XorDeltasAvx2,    MinAbsAvx2,         SumAvx2,
-    SumAbsDevAffineAvx2, SumAbsDiffSeqAvx2, DotRampAvx2,
-    QuantizeAffineAvx2,  Crc32Slice8,
-};
-#endif
-
-std::atomic<const Kernels*>& ActivePtr() {
-  static std::atomic<const Kernels*> ptr{nullptr};
-  return ptr;
-}
-
-std::atomic<int>& ActiveLevelInt() {
-  static std::atomic<int> level{-1};
-  return level;
-}
-
-Level ClampToDetected(Level level) {
-  return static_cast<int>(level) > static_cast<int>(DetectedLevel())
-             ? DetectedLevel()
-             : level;
-}
-
-Level EnvLevel() {
-  const char* env = std::getenv("LOSSYTS_SIMD");
-  if (env == nullptr) return DetectedLevel();
-  std::string s(env);
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  if (s == "off" || s == "scalar") return Level::kScalar;
-  if (s == "sse2") return ClampToDetected(Level::kSse2);
-  if (s == "avx2") return ClampToDetected(Level::kAvx2);
-  return DetectedLevel();  // Unknown spelling: run what the CPU has.
-}
-
-void EnsureInit() {
-  static const bool done = [] {
-    const Level level = EnvLevel();
-    ActivePtr().store(&KernelsFor(level), std::memory_order_release);
-    ActiveLevelInt().store(static_cast<int>(level), std::memory_order_release);
-    return true;
-  }();
-  (void)done;
+  if (i < n) l0 += term(i);
+  if (i + 1 < n) l1 += term(i + 1);
+  if (i + 2 < n) l2 += term(i + 2);
+  return (l0 + l1) + (l2 + l3);
 }
 
 }  // namespace
 
-Level DetectedLevel() {
-  static const Level level = [] {
-#ifdef LOSSYTS_SIMD_X86
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return Level::kSse2;
-#endif
-    return Level::kScalar;
-  }();
-  return level;
+void XorDeltas(const double* v, size_t n, uint64_t* out) {
+  for (size_t i = 0; i + 1 < n; ++i) out[i] = BitsOf(v[i + 1]) ^ BitsOf(v[i]);
 }
 
-Level ActiveLevel() {
-  EnsureInit();
-  return static_cast<Level>(ActiveLevelInt().load(std::memory_order_acquire));
-}
-
-void SetLevel(Level level) {
-  EnsureInit();
-  const Level clamped = ClampToDetected(level);
-  ActivePtr().store(&KernelsFor(clamped), std::memory_order_release);
-  ActiveLevelInt().store(static_cast<int>(clamped), std::memory_order_release);
-}
-
-const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kAvx2:
-      return "avx2";
+double MinAbs(const double* v, size_t n) {
+  double m0 = std::fabs(v[0]);
+  double m1 = m0;
+  double m2 = m0;
+  double m3 = m0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    m0 = std::min(m0, std::fabs(v[i]));
+    m1 = std::min(m1, std::fabs(v[i + 1]));
+    m2 = std::min(m2, std::fabs(v[i + 2]));
+    m3 = std::min(m3, std::fabs(v[i + 3]));
   }
-  return "scalar";
+  for (; i < n; ++i) m0 = std::min(m0, std::fabs(v[i]));
+  return std::min(std::min(m0, m1), std::min(m2, m3));
 }
 
-const Kernels& Active() {
-  EnsureInit();
-  return *ActivePtr().load(std::memory_order_acquire);
+double Sum(const double* v, size_t n) {
+  return ReduceFourLanes(n, [v](size_t i) { return v[i]; });
 }
 
-const Kernels& KernelsFor(Level level) {
-#ifdef LOSSYTS_SIMD_X86
-  switch (level) {
-    case Level::kScalar:
-      return kScalarKernels;
-    case Level::kSse2:
-      return kSse2Kernels;
-    case Level::kAvx2:
-      return kAvx2Kernels;
+double SumAbsDevAffine(const double* v, size_t n, double a, double b) {
+  return ReduceFourLanes(n, [=](size_t i) {
+    return std::fabs(v[i] - (a + b * static_cast<double>(i)));
+  });
+}
+
+double SumAbsDiffSeq(const double* v, size_t n, double prev) {
+  return ReduceFourLanes(n, [=](size_t i) {
+    return std::fabs(v[i] - (i == 0 ? prev : v[i - 1]));
+  });
+}
+
+double DotRamp(const double* v, size_t n, double x_mean, double v_mean) {
+  return ReduceFourLanes(n, [=](size_t i) {
+    return (static_cast<double>(i) - x_mean) * (v[i] - v_mean);
+  });
+}
+
+void QuantizeAffine(const double* v, size_t n, double a, double b,
+                    double two_delta, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double pred = a + b * static_cast<double>(i);
+    out[i] = std::nearbyint((v[i] - pred) / two_delta);
   }
-#else
-  (void)level;
-#endif
-  return kScalarKernels;
 }
 
 }  // namespace lossyts::simd

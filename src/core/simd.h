@@ -6,75 +6,49 @@
 
 namespace lossyts::simd {
 
-/// Instruction-set tiers the kernel table can be bound to. Higher tiers are
-/// supersets: a machine reporting kAvx2 also runs the kSse2 and kScalar
-/// bindings (the conform scalar-vs-SIMD compare iterates all of them).
-enum class Level : int {
-  kScalar = 0,  ///< Portable C++ only; also selected by LOSSYTS_SIMD=off.
-  kSse2 = 1,    ///< Baseline x86-64 vectors (and slice-by-8 CRC).
-  kAvx2 = 2,    ///< 4-wide double vectors.
-};
+/// The hot-path kernels the SZ and LFZip encoders (block min, predictor
+/// costs, affine quantization) and the Gorilla/Chimp encoders (XOR deltas)
+/// run. Each has one portable implementation whose arithmetic is fixed, so
+/// compressed output is a pure function of the input on every host:
+///  - a reduction runs four accumulators; lane j takes indices i % 4 == j in
+///    increasing i, starting from +0.0, and the lanes reduce as
+///    (l0 + l1) + (l2 + l3);
+///  - element-wise expressions are plain IEEE mul/add/sub/div with no FMA
+///    contraction (simd.cc is compiled with -ffp-contract=off);
+///  - rounding is round-half-to-even (nearbyint in the default mode).
+/// See DESIGN.md "Hot-path kernels & the identity contract".
 
-/// The hot-path kernel table. Every kernel is *bit-deterministic across
-/// levels*: the scalar binding reproduces the exact operation order of the
-/// vector bindings (4-lane accumulators reduced as (l0+l1)+(l2+l3),
-/// element-wise ops with no FMA contraction), so compressed output is
-/// byte-identical no matter which tier ran. See DESIGN.md "SIMD dispatch".
-struct Kernels {
-  /// out[i] = bits(v[i+1]) ^ bits(v[i]) for i in [0, n-1). Requires n >= 1
-  /// and room for n-1 outputs. Integer XOR of the raw IEEE-754 patterns.
-  void (*xor_deltas)(const double* v, size_t n, uint64_t* out);
+/// out[i] = bits(v[i+1]) ^ bits(v[i]) for i in [0, n-1). Requires n >= 1
+/// and room for n-1 outputs. Integer XOR of the raw IEEE-754 patterns.
+void XorDeltas(const double* v, size_t n, uint64_t* out);
 
-  /// min over i of |v[i]|. Requires n >= 1; inputs must be non-NaN.
-  double (*min_abs)(const double* v, size_t n);
+/// min over i of |v[i]|. Requires n >= 1; inputs must be non-NaN, under
+/// which the result is exact in any evaluation order.
+double MinAbs(const double* v, size_t n);
 
-  /// Sum of v[0..n) in the 4-lane order: lane j accumulates indices
-  /// i % 4 == j in increasing i, reduced as (l0 + l1) + (l2 + l3).
-  double (*sum)(const double* v, size_t n);
+/// Sum of v[0..n) in the 4-lane order.
+double Sum(const double* v, size_t n);
 
-  /// Sum of |v[i] - (a + b * i)| in the 4-lane order.
-  double (*sum_abs_dev_affine)(const double* v, size_t n, double a, double b);
+/// Sum of |v[i] - (a + b * i)| in the 4-lane order.
+double SumAbsDevAffine(const double* v, size_t n, double a, double b);
 
-  /// Sum of |v[i] - v[i-1]| with v[-1] := prev, in the 4-lane order.
-  double (*sum_abs_diff_seq)(const double* v, size_t n, double prev);
+/// Sum of |v[i] - v[i-1]| with v[-1] := prev, in the 4-lane order.
+double SumAbsDiffSeq(const double* v, size_t n, double prev);
 
-  /// Sum of (i - x_mean) * (v[i] - v_mean) in the 4-lane order (the
-  /// least-squares slope numerator over local indices 0..n-1).
-  double (*dot_ramp)(const double* v, size_t n, double x_mean, double v_mean);
+/// Sum of (i - x_mean) * (v[i] - v_mean) in the 4-lane order (the
+/// least-squares slope numerator over local indices 0..n-1).
+double DotRamp(const double* v, size_t n, double x_mean, double v_mean);
 
-  /// out[i] = nearbyint((v[i] - (a + b * i)) / two_delta). Element-wise;
-  /// round-half-even in the default rounding mode (matches vroundpd).
-  void (*quantize_affine)(const double* v, size_t n, double a, double b,
-                          double two_delta, double* out);
+/// out[i] = nearbyint((v[i] - (a + b * i)) / two_delta). Element-wise;
+/// round-half-even in the default rounding mode.
+void QuantizeAffine(const double* v, size_t n, double a, double b,
+                    double two_delta, double* out);
 
-  /// CRC-32 (IEEE, reflected) over `n` bytes starting from `state`
-  /// (pre-inverted form). Integer-exact on every level; the >= kSse2
-  /// bindings use slice-by-8, the kScalar binding the one-table byte loop.
-  uint32_t (*crc32_update)(uint32_t state, const uint8_t* data, size_t n);
-};
-
-/// Best tier this CPU supports (cpuid probe, cached).
-Level DetectedLevel();
-
-/// The tier the process is running, after the LOSSYTS_SIMD environment
-/// override (off|scalar|sse2|avx2; unknown values and tiers above the
-/// detected one fall back to the detected tier) and any SetLevel() call.
-Level ActiveLevel();
-
-/// Test/bench hook: rebinds the active kernel table. Clamped to
-/// DetectedLevel(). Thread-safe (atomic pointer swap), but callers that
-/// byte-compare outputs should serialize compressions around it.
-void SetLevel(Level level);
-
-/// "scalar", "sse2" or "avx2".
-const char* LevelName(Level level);
-
-/// The active kernel table (atomic load; safe to call concurrently).
-const Kernels& Active();
-
-/// The kernel table for an explicit tier; `level` above DetectedLevel()
-/// still returns that tier's table (callers must gate on DetectedLevel()).
-const Kernels& KernelsFor(Level level);
+// perfbench's run record reads ActiveLevel() and LevelName() for its "simd"
+// field; the next benchmark-only change drops that field and these names.
+enum class Level : int { kScalar = 0 };
+inline Level ActiveLevel() { return Level::kScalar; }
+inline const char* LevelName(Level) { return "scalar"; }
 
 }  // namespace lossyts::simd
 

@@ -19,11 +19,6 @@ namespace {
 
 constexpr char kStoreSuffix[] = ".lts";
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// The request, validated and canonicalized once up front so every failure
 /// mode surfaces before any store I/O.
 struct ResolvedQuery {
@@ -598,10 +593,10 @@ Result<QueryResult> QueryStoreDir(const std::string& dir,
   std::vector<std::string> bases;
   while (struct dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
-    if (!EndsWith(name, kStoreSuffix)) continue;
+    if (!name.ends_with(kStoreSuffix)) continue;
     const std::string base =
         name.substr(0, name.size() - std::strlen(kStoreSuffix));
-    if (!options.pred_suffix.empty() && EndsWith(base, options.pred_suffix)) {
+    if (!options.pred_suffix.empty() && base.ends_with(options.pred_suffix)) {
       continue;  // A forecast store, reachable only through its pair.
     }
     if (!options.match.empty() &&

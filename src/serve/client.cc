@@ -24,6 +24,7 @@ Client::~Client() {
 }
 
 Result<Reply> Client::RoundTrip(const Request& request) {
+  if (Status s = ValidateRequest(request); !s.ok()) return s;
   const std::vector<uint8_t> payload = EncodeRequest(request);
   for (int attempt = 0;; ++attempt) {
     if (Status s = WriteFrame(fd_, payload, options_.timeout_ms); !s.ok()) {

@@ -359,14 +359,10 @@ Reply Daemon::HandleQuery(const QuerySpec& spec) {
   }
   std::sort(names.begin(), names.end());
 
-  const auto ends_with = [](const std::string& s, const std::string& suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-  };
   std::vector<std::pair<TimeSeries, TimeSeries>> snapshots;
   std::vector<std::string> selected;
   for (const std::string& name : names) {
-    if (ends_with(name, spec.pred_suffix)) continue;
+    if (name.ends_with(spec.pred_suffix)) continue;
     if (!spec.match.empty() &&
         name.find(spec.match) == std::string::npos) {
       continue;

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "compress/serde.h"
 #include "core/failpoint.h"
@@ -20,6 +21,10 @@ namespace {
 /// a reply frame small no matter what a Status carries.
 constexpr size_t kMaxMessageBytes = 4096;
 
+/// Writes a u8 length and the bytes. Callers keep `s` within
+/// kMaxShortStringBytes: request strings pass ValidateRequest first, and a
+/// reply's strings are series names the daemon accepted (at most 128 bytes),
+/// groups cut from them, metric names and codec names.
 void PutShortString(compress::ByteWriter& writer, const std::string& s) {
   writer.PutU8(static_cast<uint8_t>(s.size()));
   for (const char c : s) writer.PutU8(static_cast<uint8_t>(c));
@@ -58,12 +63,16 @@ Result<std::string> GetLongString(compress::ByteReader& reader) {
   return s;
 }
 
-void PutValues(compress::ByteWriter& writer,
-               const std::vector<double>& values) {
+/// Count-prefixed doubles: the values of an append or a range read, and the
+/// per-row lists of a query reply.
+void PutDoubleList(compress::ByteWriter& writer,
+                   const std::vector<double>& values) {
   writer.PutU32(static_cast<uint32_t>(values.size()));
   for (const double v : values) writer.PutDouble(v);
 }
 
+/// A PutDoubleList that is the payload's final field: the count must use up
+/// the payload exactly.
 Result<std::vector<double>> GetValues(compress::ByteReader& reader) {
   Result<uint32_t> count = reader.GetU32();
   if (!count.ok()) return count.status();
@@ -104,14 +113,8 @@ Result<std::vector<std::string>> GetStringList(compress::ByteReader& reader) {
   return names;
 }
 
-/// Doubles inside a larger payload: count-prefixed, without GetValues'
-/// payload-exhaustion check (query rows are not the final field).
-void PutDoubleList(compress::ByteWriter& writer,
-                   const std::vector<double>& values) {
-  writer.PutU32(static_cast<uint32_t>(values.size()));
-  for (const double v : values) writer.PutDouble(v);
-}
-
+/// A PutDoubleList inside a larger payload (query rows are not the final
+/// field): the count must fit in what is left.
 Result<std::vector<double>> GetDoubleList(compress::ByteReader& reader) {
   Result<uint32_t> count = reader.GetU32();
   if (!count.ok()) return count.status();
@@ -300,9 +303,48 @@ Result<SeriesStreamInfo> GetStreamInfo(compress::ByteReader& reader) {
   return info;
 }
 
+Status CheckShortString(const std::string& s, const char* field) {
+  if (s.size() <= kMaxShortStringBytes) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(field) + " is " + std::to_string(s.size()) +
+      " bytes; the protocol carries at most " +
+      std::to_string(kMaxShortStringBytes));
+}
+
 }  // namespace
 
+Status ValidateRequest(const Request& request) {
+  switch (request.type) {
+    case RequestType::kAppend:
+    case RequestType::kReadRange:
+    case RequestType::kStreamInfo:
+      return CheckShortString(request.series, "series");
+    case RequestType::kQuery: {
+      for (const std::string& metric : request.query.metrics) {
+        if (Status s = CheckShortString(metric, "metric"); !s.ok()) return s;
+      }
+      const std::pair<const std::string*, const char*> fields[] = {
+          {&request.query.group_by, "group_by"},
+          {&request.query.delimiter, "delimiter"},
+          {&request.query.match, "match"},
+          {&request.query.pred_suffix, "pred_suffix"},
+      };
+      for (const auto& [value, name] : fields) {
+        if (Status s = CheckShortString(*value, name); !s.ok()) return s;
+      }
+      return Status::OK();
+    }
+    case RequestType::kPing:
+    case RequestType::kStats:
+    case RequestType::kShutdown:
+    case RequestType::kListSeries:
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
 std::vector<uint8_t> EncodeRequest(const Request& request) {
+  if (!ValidateRequest(request).ok()) return {};
   compress::ByteWriter writer;
   writer.PutU8(static_cast<uint8_t>(request.type));
   switch (request.type) {
@@ -310,7 +352,7 @@ std::vector<uint8_t> EncodeRequest(const Request& request) {
       PutShortString(writer, request.series);
       writer.PutI64(request.first_timestamp);
       writer.PutI32(request.interval_seconds);
-      PutValues(writer, request.values);
+      PutDoubleList(writer, request.values);
       break;
     case RequestType::kReadRange:
       PutShortString(writer, request.series);
@@ -372,6 +414,9 @@ Result<Request> DecodeRequest(const std::vector<uint8_t>& payload) {
       Result<int64_t> t1 = reader.GetI64();
       if (!t1.ok()) return t1.status();
       request.t1 = *t1;
+      if (reader.remaining() != 0) {
+        return Status::Corruption("request carries unexpected trailing bytes");
+      }
       return request;
     }
     case static_cast<uint8_t>(RequestType::kStreamInfo): {
@@ -447,16 +492,13 @@ std::vector<uint8_t> EncodeReply(RequestType type, const Reply& reply) {
     case RequestType::kReadRange:
       writer.PutI64(reply.start_timestamp);
       writer.PutI32(reply.interval_seconds);
-      PutValues(writer, reply.values);
+      PutDoubleList(writer, reply.values);
       break;
     case RequestType::kStats:
       PutStats(writer, reply.stats);
       break;
     case RequestType::kListSeries:
-      writer.PutU32(static_cast<uint32_t>(reply.names.size()));
-      for (const std::string& name : reply.names) {
-        PutShortString(writer, name);
-      }
+      PutStringList(writer, reply.names);
       break;
     case RequestType::kQuery:
       PutQueryResult(writer, reply.query);
@@ -540,13 +582,11 @@ Result<Reply> DecodeReply(RequestType type,
       return reply;
     }
     case RequestType::kListSeries: {
-      Result<uint32_t> count = reader.GetU32();
-      if (!count.ok()) return count.status();
-      reply.names.reserve(*count);
-      for (uint32_t i = 0; i < *count; ++i) {
-        Result<std::string> name = GetShortString(reader);
-        if (!name.ok()) return name.status();
-        reply.names.push_back(std::move(*name));
+      Result<std::vector<std::string>> names = GetStringList(reader);
+      if (!names.ok()) return names.status();
+      reply.names = std::move(*names);
+      if (reader.remaining() != 0) {
+        return Status::Corruption("reply carries unexpected trailing bytes");
       }
       return reply;
     }

@@ -117,6 +117,17 @@ struct Reply {
   SeriesStreamInfo stream;         ///< kOk + kStreamInfo.
 };
 
+/// Strings travel behind a u8 length, so no string field may be longer.
+inline constexpr size_t kMaxShortStringBytes = 255;
+
+/// InvalidArgument naming the first string field of `request` (series,
+/// metric, group_by, delimiter, match, pred_suffix) longer than
+/// kMaxShortStringBytes; OK otherwise. Client checks every request with it.
+Status ValidateRequest(const Request& request);
+
+/// The request's payload bytes. A request ValidateRequest refuses encodes as
+/// an empty payload, which DecodeRequest rejects, never as a truncated
+/// string.
 std::vector<uint8_t> EncodeRequest(const Request& request);
 Result<Request> DecodeRequest(const std::vector<uint8_t>& payload);
 

@@ -25,11 +25,6 @@ constexpr const char* kTmpSuffix = ".tmp";
 /// frame caps both comfortably cover it).
 constexpr size_t kMaxAppendPoints = 1u << 20;
 
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 bool Shard::ValidSeriesName(const std::string& name) {
@@ -77,11 +72,11 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
   while (struct dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
-    if (EndsWith(name, kTmpSuffix)) {
+    if (name.ends_with(kTmpSuffix)) {
       ::unlink((dir + "/" + name).c_str());
       continue;
     }
-    if (EndsWith(name, kStoreSuffix)) store_files.push_back(name);
+    if (name.ends_with(kStoreSuffix)) store_files.push_back(name);
   }
   ::closedir(d);
   std::sort(store_files.begin(), store_files.end());

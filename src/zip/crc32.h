@@ -8,9 +8,9 @@
 namespace lossyts::zip {
 
 /// Incremental CRC-32 (IEEE 802.3 polynomial, reflected), the checksum used
-/// by the gzip container trailer. Update() goes through the runtime-dispatched
-/// kernel (slice-by-8 on SSE2+ tiers, one-table byte loop at scalar); every
-/// tier produces the identical checksum.
+/// by the gzip container trailer. Update() runs slice-by-8 (eight bytes per
+/// step through eight 256-entry tables) with a one-table byte loop for the
+/// tail.
 class Crc32 {
  public:
   /// Feeds `size` bytes into the checksum.
@@ -29,8 +29,8 @@ class Crc32 {
 /// One-shot CRC-32 of a buffer.
 uint32_t ComputeCrc32(const uint8_t* data, size_t size);
 
-/// One-shot CRC-32 via the original single-table byte loop, independent of
-/// the dispatch layer. Kept as the executable spec for the fast kernels.
+/// One-shot CRC-32 via the single-table byte loop alone. Kept as the
+/// executable spec for slice-by-8.
 uint32_t ComputeCrc32Reference(const uint8_t* data, size_t size);
 
 }  // namespace lossyts::zip

@@ -1,5 +1,6 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -8,20 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "zip/crc32.h"
+
 namespace lossyts::simd {
 namespace {
-
-// Every supported tier at or below what this host can run. kScalar is always
-// first, so loops comparing against levels[0] compare against scalar.
-std::vector<Level> SupportedLevels() {
-  std::vector<Level> levels = {Level::kScalar};
-  for (Level l : {Level::kSse2, Level::kAvx2}) {
-    if (static_cast<int>(l) <= static_cast<int>(DetectedLevel())) {
-      levels.push_back(l);
-    }
-  }
-  return levels;
-}
 
 uint64_t Bits(double v) {
   uint64_t b;
@@ -64,151 +55,230 @@ std::vector<double> AdversarialInput(std::mt19937_64& rng, size_t n) {
   return v;
 }
 
-TEST(SimdTest, DetectedAndActiveLevelsAreSane) {
-  EXPECT_GE(static_cast<int>(DetectedLevel()), 0);
-  EXPECT_LE(static_cast<int>(ActiveLevel()),
-            static_cast<int>(DetectedLevel()));
-  EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(LevelName(Level::kSse2), "sse2");
-  EXPECT_STREQ(LevelName(Level::kAvx2), "avx2");
+// Finite values of mixed sign across 24 binades with full 53-bit
+// mantissas: most additions round, so a change to the lane order or the
+// reduction's association shows in the low bits of some sums.
+std::vector<double> RoundingSensitiveInput(std::mt19937_64& rng, size_t n) {
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    x = std::ldexp(unit(rng), static_cast<int>(rng() % 24) - 12);
+  }
+  return v;
 }
 
-TEST(SimdTest, SetLevelSwitchesAndClampsToDetected) {
-  const Level entry = ActiveLevel();
-  SetLevel(Level::kScalar);
-  EXPECT_EQ(ActiveLevel(), Level::kScalar);
-  // Requesting the top tier must clamp to what the host supports.
-  SetLevel(Level::kAvx2);
-  EXPECT_LE(static_cast<int>(ActiveLevel()),
-            static_cast<int>(DetectedLevel()));
-  SetLevel(entry);
-  EXPECT_EQ(ActiveLevel(), entry);
+// ---------------------------------------------------------------------------
+// The executable spec: the indexed-accumulator loops the kernels must match
+// bit for bit. Lane j = i % 4 accumulates its indices in increasing order
+// from +0.0, and the reduction is (l0 + l1) + (l2 + l3). This file is
+// compiled with -ffp-contract=off like simd.cc, so neither side fuses.
+// ---------------------------------------------------------------------------
+
+void SpecXorDeltas(const double* v, size_t n, uint64_t* out) {
+  uint64_t prev = Bits(v[0]);
+  for (size_t i = 1; i < n; ++i) {
+    const uint64_t cur = Bits(v[i]);
+    out[i - 1] = cur ^ prev;
+    prev = cur;
+  }
 }
 
-TEST(SimdTest, KernelsForReturnsDistinctTablesPerTier) {
-  // The scalar table must at minimum bind a different CRC routine than the
-  // SSE2 table (byte loop vs slice-by-8), and Active() must follow SetLevel.
-  EXPECT_NE(KernelsFor(Level::kScalar).crc32_update,
-            KernelsFor(Level::kSse2).crc32_update);
-  const Level entry = ActiveLevel();
-  SetLevel(Level::kScalar);
-  EXPECT_EQ(Active().crc32_update,
-            KernelsFor(Level::kScalar).crc32_update);
-  SetLevel(entry);
+double SpecMinAbs(const double* v, size_t n) {
+  double m = std::fabs(v[0]);
+  for (size_t i = 1; i < n; ++i) m = std::min(m, std::fabs(v[i]));
+  return m;
+}
+
+double SpecSum(const double* v, size_t n) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) acc[i & 3] += v[i];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+double SpecSumAbsDevAffine(const double* v, size_t n, double a, double b) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    const double pred = a + b * static_cast<double>(i);
+    acc[i & 3] += std::fabs(v[i] - pred);
+  }
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+double SpecSumAbsDiffSeq(const double* v, size_t n, double prev) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  double p = prev;
+  for (size_t i = 0; i < n; ++i) {
+    acc[i & 3] += std::fabs(v[i] - p);
+    p = v[i];
+  }
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+double SpecDotRamp(const double* v, size_t n, double x_mean, double v_mean) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    const double dx = static_cast<double>(i) - x_mean;
+    acc[i & 3] += dx * (v[i] - v_mean);
+  }
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+void SpecQuantizeAffine(const double* v, size_t n, double a, double b,
+                        double two_delta, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double pred = a + b * static_cast<double>(i);
+    out[i] = std::nearbyint((v[i] - pred) / two_delta);
+  }
+}
+
+// Bit-at-a-time CRC-32 (IEEE, reflected) over a pre-inverted state: no
+// table, so it is independent of both table-driven loops in zip/crc32.cc.
+uint32_t SpecCrc32Update(uint32_t state, const uint8_t* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    state ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+// Every length 0..9 (each remainder of the four-lane groups, with and
+// without a full group), the SZ/LFZip block size 128 and twice it, each
+// with its neighbours, and two long inputs.
+std::vector<size_t> Lengths() {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  for (size_t n : {15u, 16u, 17u, 127u, 128u, 129u, 255u, 256u, 257u, 1000u,
+                   1001u}) {
+    lengths.push_back(n);
+  }
+  return lengths;
 }
 
 TEST(SimdTest, XorDeltasExactAcrossLevels) {
   std::mt19937_64 rng(1);
-  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 64u, 1000u, 1001u}) {
+  for (size_t n : Lengths()) {
     const std::vector<double> v = AdversarialInput(rng, n);
     std::vector<uint64_t> expected(n > 0 ? n - 1 : 0);
-    for (size_t i = 0; i + 1 < n; ++i) {
-      expected[i] = Bits(v[i + 1]) ^ Bits(v[i]);
-    }
-    for (Level level : SupportedLevels()) {
-      std::vector<uint64_t> out(expected.size(), ~0ull);
-      KernelsFor(level).xor_deltas(v.data(), n, out.data());
-      EXPECT_EQ(out, expected) << LevelName(level) << " n=" << n;
-    }
+    if (n > 0) SpecXorDeltas(v.data(), n, expected.data());
+    // One guard word past the end catches an overrun.
+    std::vector<uint64_t> out(expected.size() + 1, ~0ull);
+    XorDeltas(v.data(), n, out.data());
+    EXPECT_EQ(out.back(), ~0ull) << "n=" << n;
+    out.pop_back();
+    EXPECT_EQ(out, expected) << "n=" << n;
   }
 }
 
 TEST(SimdTest, ReductionKernelsBitIdenticalAcrossLevels) {
   std::mt19937_64 rng(2);
-  for (size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 255u,
-                   256u, 257u, 1000u}) {
-    const std::vector<double> v = AdversarialInput(rng, n);
+  std::vector<std::vector<double>> inputs;
+  for (size_t n : Lengths()) {
+    inputs.push_back(AdversarialInput(rng, n));
+    // A single reassociation changes the rounded sum of such an input only
+    // about one time in ten, so each length gets many draws.
+    for (int draw = 0; draw < 32; ++draw) {
+      inputs.push_back(RoundingSensitiveInput(rng, n));
+    }
+  }
+  for (const std::vector<double>& v : inputs) {
+    const size_t n = v.size();
+    const double* p = v.data();
     const double a = std::ldexp(1.0, -static_cast<int>(rng() % 30));
     const double b = std::ldexp(1.0, -static_cast<int>(rng() % 30)) / 3.0;
-    const double prev = v[0] * 0.5;
-    const double x_mean = static_cast<double>(n - 1) / 2.0;
-
-    const Kernels& scalar = KernelsFor(Level::kScalar);
-    const uint64_t min_abs0 = Bits(scalar.min_abs(v.data(), n));
-    const uint64_t sum0 = Bits(scalar.sum(v.data(), n));
-    const uint64_t dev0 = Bits(scalar.sum_abs_dev_affine(v.data(), n, a, b));
-    const uint64_t seq0 = Bits(scalar.sum_abs_diff_seq(v.data(), n, prev));
-    const uint64_t ramp0 = Bits(scalar.dot_ramp(v.data(), n, x_mean, a));
-
-    for (Level level : SupportedLevels()) {
-      const Kernels& k = KernelsFor(level);
-      EXPECT_EQ(Bits(k.min_abs(v.data(), n)), min_abs0)
-          << "min_abs " << LevelName(level) << " n=" << n;
-      EXPECT_EQ(Bits(k.sum(v.data(), n)), sum0)
-          << "sum " << LevelName(level) << " n=" << n;
-      EXPECT_EQ(Bits(k.sum_abs_dev_affine(v.data(), n, a, b)), dev0)
-          << "sum_abs_dev_affine " << LevelName(level) << " n=" << n;
-      EXPECT_EQ(Bits(k.sum_abs_diff_seq(v.data(), n, prev)), seq0)
-          << "sum_abs_diff_seq " << LevelName(level) << " n=" << n;
-      EXPECT_EQ(Bits(k.dot_ramp(v.data(), n, x_mean, a)), ramp0)
-          << "dot_ramp " << LevelName(level) << " n=" << n;
+    const double prev = n > 0 ? v[0] * 0.5 : 1.5;
+    const double x_mean = n > 0 ? static_cast<double>(n - 1) / 2.0 : 0.0;
+    if (n > 0) {
+      EXPECT_EQ(Bits(MinAbs(p, n)), Bits(SpecMinAbs(p, n)))
+          << "MinAbs n=" << n;
     }
+    EXPECT_EQ(Bits(Sum(p, n)), Bits(SpecSum(p, n))) << "Sum n=" << n;
+    EXPECT_EQ(Bits(SumAbsDevAffine(p, n, a, b)),
+              Bits(SpecSumAbsDevAffine(p, n, a, b)))
+        << "SumAbsDevAffine n=" << n;
+    EXPECT_EQ(Bits(SumAbsDiffSeq(p, n, prev)),
+              Bits(SpecSumAbsDiffSeq(p, n, prev)))
+        << "SumAbsDiffSeq n=" << n;
+    EXPECT_EQ(Bits(DotRamp(p, n, x_mean, a)),
+              Bits(SpecDotRamp(p, n, x_mean, a)))
+        << "DotRamp n=" << n;
   }
 }
 
 TEST(SimdTest, QuantizeAffineBitIdenticalAcrossLevelsAndHalfEven) {
   std::mt19937_64 rng(3);
-  for (size_t n : {1u, 3u, 4u, 5u, 8u, 9u, 100u, 101u}) {
+  for (size_t n : Lengths()) {
     const std::vector<double> v = AdversarialInput(rng, n);
     const double a = 0.25;
     const double b = 1.0 / 7.0;
     const double two_delta = std::ldexp(1.0, -10);
     std::vector<double> expected(n);
-    KernelsFor(Level::kScalar).quantize_affine(v.data(), n, a, b, two_delta,
-                                               expected.data());
-    for (Level level : SupportedLevels()) {
-      std::vector<double> out(n, -1.0);
-      KernelsFor(level).quantize_affine(v.data(), n, a, b, two_delta,
-                                        out.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(Bits(out[i]), Bits(expected[i]))
-            << LevelName(level) << " n=" << n << " i=" << i;
-      }
+    SpecQuantizeAffine(v.data(), n, a, b, two_delta, expected.data());
+    std::vector<double> out(n + 1, -1.0);
+    QuantizeAffine(v.data(), n, a, b, two_delta, out.data());
+    EXPECT_EQ(out.back(), -1.0) << "n=" << n;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(out[i]), Bits(expected[i])) << "n=" << n << " i=" << i;
     }
   }
-  // Ties round half-to-even on every level (the vroundpd/nearbyint rule):
-  // residual/two_delta == 0.5 and 1.5 must quantize to 0 and 2.
-  const double ties[] = {0.5, 1.5};
-  for (Level level : SupportedLevels()) {
-    double out[2];
-    KernelsFor(level).quantize_affine(ties, 2, 0.0, 0.0, 1.0, out);
-    EXPECT_EQ(out[0], 0.0) << LevelName(level);
-    EXPECT_EQ(out[1], 2.0) << LevelName(level);
-  }
+  // Ties round half-to-even: residual/two_delta == 0.5, 1.5, 2.5 and -0.5
+  // must quantize to 0, 2, 2 and -0.
+  const double ties[] = {0.5, 1.5, 2.5, -0.5};
+  double out[4];
+  QuantizeAffine(ties, 4, 0.0, 0.0, 1.0, out);
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_EQ(out[1], 2.0);
+  EXPECT_EQ(out[2], 2.0);
+  EXPECT_EQ(Bits(out[3]), Bits(-0.0));
 }
 
 TEST(SimdTest, Crc32KernelsAgreeAcrossLevels) {
+  // Slice-by-8 through Crc32::Update, fed whole and in two pieces split at
+  // every offset of a short input, against the table-free spec.
   std::mt19937_64 rng(4);
-  for (size_t n : {0u, 1u, 7u, 8u, 9u, 100u, 4097u}) {
+  for (size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 100u, 4097u}) {
     std::vector<uint8_t> data(n);
     for (auto& x : data) x = static_cast<uint8_t>(rng());
     const uint32_t expected =
-        KernelsFor(Level::kScalar).crc32_update(0xFFFFFFFFu, data.data(), n);
-    for (Level level : SupportedLevels()) {
-      EXPECT_EQ(
-          KernelsFor(level).crc32_update(0xFFFFFFFFu, data.data(), n),
-          expected)
-          << LevelName(level) << " n=" << n;
+        SpecCrc32Update(0xFFFFFFFFu, data.data(), n) ^ 0xFFFFFFFFu;
+    EXPECT_EQ(zip::ComputeCrc32(data.data(), n), expected) << "n=" << n;
+    EXPECT_EQ(zip::ComputeCrc32Reference(data.data(), n), expected)
+        << "n=" << n;
+    for (size_t split = 0; split <= std::min<size_t>(n, 17); ++split) {
+      zip::Crc32 crc;
+      crc.Update(data.data(), split);
+      crc.Update(data.data() + split, n - split);
+      EXPECT_EQ(crc.value(), expected) << "n=" << n << " split=" << split;
     }
   }
 }
 
 TEST(SimdTest, SumKernelsHandleSignedZeroAndSubnormals) {
-  // All-(-0.0) input: the 4-lane sum must preserve IEEE sign semantics
-  // identically on every level ((-0)+(-0) = -0, but (-0)+(+0) = +0 in the
-  // reduce); we only require cross-level bit equality, not a specific sign.
-  const std::vector<double> zeros(13, -0.0);
-  const std::vector<double> tiny(13, std::numeric_limits<double>::denorm_min());
-  const uint64_t z0 = Bits(KernelsFor(Level::kScalar).sum(zeros.data(), 13));
-  const uint64_t t0 = Bits(KernelsFor(Level::kScalar).sum(tiny.data(), 13));
-  for (Level level : SupportedLevels()) {
-    EXPECT_EQ(Bits(KernelsFor(level).sum(zeros.data(), 13)), z0)
-        << LevelName(level);
-    EXPECT_EQ(Bits(KernelsFor(level).sum(tiny.data(), 13)), t0)
-        << LevelName(level);
-    EXPECT_EQ(KernelsFor(level).min_abs(tiny.data(), 13),
-              std::numeric_limits<double>::denorm_min())
-        << LevelName(level);
+  // All-(-0.0) input: every lane starts at +0.0, so the sums are +0.0 (and
+  // must match the spec bit for bit); subnormal sums stay exact.
+  for (size_t n : Lengths()) {
+    const std::vector<double> zeros(n, -0.0);
+    const std::vector<double> tiny(n,
+                                   std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(Bits(Sum(zeros.data(), n)), Bits(SpecSum(zeros.data(), n)))
+        << "n=" << n;
+    EXPECT_EQ(Bits(Sum(zeros.data(), n)), Bits(0.0)) << "n=" << n;
+    EXPECT_EQ(Bits(Sum(tiny.data(), n)), Bits(SpecSum(tiny.data(), n)))
+        << "n=" << n;
+    EXPECT_EQ(Sum(tiny.data(), n),
+              static_cast<double>(n) *
+                  std::numeric_limits<double>::denorm_min())
+        << "n=" << n;
+    EXPECT_EQ(Bits(SumAbsDiffSeq(zeros.data(), n, 0.0)),
+              Bits(SpecSumAbsDiffSeq(zeros.data(), n, 0.0)))
+        << "n=" << n;
+    if (n > 0) {
+      EXPECT_EQ(MinAbs(tiny.data(), n),
+                std::numeric_limits<double>::denorm_min())
+          << "n=" << n;
+      EXPECT_EQ(Bits(MinAbs(zeros.data(), n)), Bits(0.0)) << "n=" << n;
+    }
   }
 }
 

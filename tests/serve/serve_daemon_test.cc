@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/failpoint.h"
@@ -152,6 +153,123 @@ TEST_F(ServeDaemonTest, QueryEncodingRoundTrips) {
   EXPECT_EQ(decoded_reply->query.rows[0].metrics, row.metrics);
 }
 
+TEST_F(ServeDaemonTest, RequestStringsUpTo255BytesRoundTripAndLongerAreRefused) {
+  // Strings travel behind a u8 length: 255 bytes is the longest that fits,
+  // and 256 must be refused by name rather than wrapped to a 0-byte string
+  // with the rest misread as the following fields.
+  const std::string fits(255, 'a');
+  const std::string too_long(256, 'a');
+  for (const RequestType type : {RequestType::kAppend, RequestType::kReadRange,
+                                 RequestType::kStreamInfo}) {
+    Request request;
+    request.type = type;
+    request.series = fits;
+    request.t0 = 7;
+    request.t1 = 9;
+    auto decoded = DecodeRequest(EncodeRequest(request));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->series, fits);
+
+    request.series = too_long;
+    const Status refused = ValidateRequest(request);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("series"), std::string::npos)
+        << refused.message();
+    EXPECT_TRUE(EncodeRequest(request).empty());
+    EXPECT_FALSE(DecodeRequest(EncodeRequest(request)).ok());
+  }
+
+  const std::pair<std::string QuerySpec::*, const char*> fields[] = {
+      {&QuerySpec::group_by, "group_by"},
+      {&QuerySpec::delimiter, "delimiter"},
+      {&QuerySpec::match, "match"},
+      {&QuerySpec::pred_suffix, "pred_suffix"},
+  };
+  for (const auto& [member, name] : fields) {
+    Request request;
+    request.type = RequestType::kQuery;
+    request.query.metrics = {"mae"};
+    request.query.*member = fits;
+    auto decoded = DecodeRequest(EncodeRequest(request));
+    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
+    EXPECT_EQ(decoded->query.*member, fits) << name;
+
+    request.query.*member = too_long;
+    const Status refused = ValidateRequest(request);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(refused.message().find(name), std::string::npos)
+        << refused.message();
+    EXPECT_TRUE(EncodeRequest(request).empty()) << name;
+  }
+
+  Request metrics;
+  metrics.type = RequestType::kQuery;
+  metrics.query.metrics = {"mae", fits};
+  auto decoded = DecodeRequest(EncodeRequest(metrics));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->query.metrics, metrics.query.metrics);
+  metrics.query.metrics = {"mae", too_long};
+  const Status refused = ValidateRequest(metrics);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("metric"), std::string::npos)
+      << refused.message();
+  EXPECT_TRUE(EncodeRequest(metrics).empty());
+}
+
+TEST_F(ServeDaemonTest, ValidFrameBytesArePinned) {
+  // The exact payload bytes of a range read, an append and a series list,
+  // so a refactor of the encoders cannot change the wire format.
+  Request read;
+  read.type = RequestType::kReadRange;
+  read.series = "ab";
+  read.t0 = 1;
+  read.t1 = -1;
+  EXPECT_EQ(EncodeRequest(read),
+            (std::vector<uint8_t>{3, 2, 'a', 'b', 1, 0, 0, 0, 0, 0, 0, 0,
+                                  0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                  0xFF}));
+
+  Request append;
+  append.type = RequestType::kAppend;
+  append.series = "x";
+  append.first_timestamp = 2;
+  append.interval_seconds = 3;
+  append.values = {1.0};
+  EXPECT_EQ(EncodeRequest(append),
+            (std::vector<uint8_t>{2, 1, 'x', 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0,
+                                  0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0,
+                                  0x3F}));
+
+  Reply list;
+  list.names = {"a", "bc"};
+  const std::vector<uint8_t> list_bytes = {0, 2, 0, 0, 0, 1, 'a', 2, 'b', 'c'};
+  EXPECT_EQ(EncodeReply(RequestType::kListSeries, list), list_bytes);
+  auto decoded = DecodeReply(RequestType::kListSeries, list_bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->names, list.names);
+}
+
+TEST_F(ServeDaemonTest, DecodeRejectsImplausibleCountsAndTrailingBytes) {
+  // A u32 name count of 2^32-1 in a 5-byte reply is corrupt; it must not
+  // reach an allocation.
+  const auto huge =
+      DecodeReply(RequestType::kListSeries, {0, 0xFF, 0xFF, 0xFF, 0xFF});
+  EXPECT_EQ(huge.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeReply(RequestType::kListSeries,
+                        {0, 1, 0, 0, 0, 1, 'a', 'z'})
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  Request read;
+  read.type = RequestType::kReadRange;
+  read.series = "x";
+  std::vector<uint8_t> payload = EncodeRequest(read);
+  ASSERT_TRUE(DecodeRequest(payload).ok());
+  payload.push_back(0);
+  EXPECT_EQ(DecodeRequest(payload).status().code(), StatusCode::kCorruption);
+}
+
 TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -224,6 +342,21 @@ TEST_F(ServeDaemonTest, EndToEndAppendReadListStats) {
   EXPECT_EQ(stats->appended_ops, 3u);
   EXPECT_EQ(stats->failed_shards, 0u);
   EXPECT_GE(stats->accepted, 3u);
+
+  // A name the protocol cannot carry is refused before anything is sent,
+  // and the connection stays usable.
+  const std::string too_long(256, 'a');
+  const Status long_append = (*client)->Append(too_long, 0, 60, {1.0});
+  EXPECT_EQ(long_append.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(long_append.message().find("series"), std::string::npos);
+  EXPECT_EQ((*client)->ReadRange(too_long, 0, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  QuerySpec long_match;
+  long_match.metrics = {"mae"};
+  long_match.match = too_long;
+  EXPECT_EQ((*client)->Query(long_match).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE((*client)->Ping().ok());
 
   // A second concurrent client works (connection-per-thread model).
   auto other = Client::Connect((*daemon)->socket_path());

@@ -173,20 +173,6 @@ query_smoke() {
     "$(wc -l <"${qdir}/win_j1.txt") lines)"
 }
 
-# Scalar-vs-SIMD byte-identity, run in every leg (including the filtered
-# TSan one — it is cheap and the dispatch swap is cross-thread state worth
-# race-checking): every codec's compressed bytes and decoded values must be
-# identical between the scalar bindings and each hardware tier the host
-# supports, across the full adversarial corpus. A second run under
-# LOSSYTS_SIMD=off pins the process to the scalar tier and must agree too —
-# that exercises the env-override path itself.
-simd_smoke() {
-  local dir="$1"
-  local bin="${dir}/tools/lossyts"
-  "${bin}" simdcheck --cases "${LOSSYTS_CONFORM_ITERS:-2}"
-  LOSSYTS_SIMD=off "${bin}" simdcheck --cases 1
-}
-
 # Streaming smoke, run in every leg: first the self-checking micro_stream
 # harness (streamed Flush vs batch byte-identity, online alarms == offline
 # change detection, detection-recall and ingest-ratio floors, cross---jobs
@@ -324,11 +310,6 @@ run_config() {
     # exposure under each sanitizer.
     "${dir}/tools/lossyts" conform --codecs LFZIP,CAMEO \
       --cases "${LOSSYTS_CONFORM_ITERS:-2}"
-    # Forced-scalar conform pass: the same oracle battery with every kernel
-    # pinned to the portable bindings, so a vectorization bug cannot hide
-    # behind a matching bug in the SIMD verify path.
-    LOSSYTS_SIMD=off "${dir}/tools/lossyts" conform \
-      --cases "${LOSSYTS_CONFORM_ITERS:-2}" --no-mutate
     # Numerics conformance smoke: finite-difference gradient oracles over the
     # autodiff ops and forecaster networks, closed-form analysis oracles, and
     # the training-determinism drill. CI keeps it small (2 seeded cases per
@@ -357,7 +338,6 @@ run_config() {
   if [[ -z "${sanitize}" ]]; then
     sweep_smoke "${dir}"
   fi
-  simd_smoke "${dir}"
   serve_smoke "${dir}"
   query_smoke "${dir}"
   stream_smoke "${dir}" "${sanitize}"

@@ -28,7 +28,6 @@
 
 #include "compress/pipeline.h"
 #include "conform/harness.h"
-#include "core/simd.h"
 #include "data/csv.h"
 #include "data/datasets.h"
 #include "eval/grid.h"
@@ -67,10 +66,6 @@ int Usage() {
       "  lossyts conform [--cases N] [--seed S] [--codecs a,b]\n"
       "               [--error-bounds 0.01,0.2] [--bit-flips N]\n"
       "               [--no-mutate] [--jobs N]\n"
-      "  lossyts simdcheck [--cases N] [--seed S] [--codecs a,b]\n"
-      "               [--error-bounds 0.01,0.2]   (byte-compares scalar vs\n"
-      "               SIMD kernel output per codec; LOSSYTS_SIMD=off forces\n"
-      "               the scalar tier process-wide)\n"
       "  lossyts numcheck [--iters N] [--seed S] [--ops a,b] [--models a,b]\n"
       "               [--oracles a,b] [--jobs N]   (list \"none\" to skip a\n"
       "               category; empty list means all)\n"
@@ -424,59 +419,6 @@ int Conform(int argc, char** argv) {
   std::printf("conform: %zu cells, %zu mutants, %zu failures (seed %llu)\n",
               summary->cases, summary->mutants, summary->failures.size(),
               static_cast<unsigned long long>(options.base_seed));
-  return summary->failures.empty() ? 0 : 1;
-}
-
-// Byte-compares compressed output and decoded values between the scalar and
-// hardware SIMD kernel tiers over the adversarial corpus. Exits nonzero iff
-// any cell diverged; on a host with no SIMD tier the run is vacuous and
-// passes (it prints 0 cells).
-int SimdCheck(int argc, char** argv) {
-  conform::ConformOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--cases") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.cases_per_family = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--codecs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.codecs = SplitList(v);
-    } else if (arg == "--error-bounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.error_bounds.clear();
-      for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
-      }
-    } else {
-      return Usage();
-    }
-  }
-  Result<conform::ConformSummary> summary =
-      conform::RunScalarSimdCompare(options);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 1;
-  }
-  for (const conform::ConformFailure& f : summary->failures) {
-    std::fprintf(stderr, "%s\n", conform::FormatFailure(f).c_str());
-  }
-  std::printf(
-      "simdcheck: detected=%s active=%s, %zu cells, %zu failures (seed "
-      "%llu)\n",
-      simd::LevelName(simd::DetectedLevel()),
-      simd::LevelName(simd::ActiveLevel()), summary->cases,
-      summary->failures.size(),
-      static_cast<unsigned long long>(options.base_seed));
   return summary->failures.empty() ? 0 : 1;
 }
 
@@ -1268,7 +1210,6 @@ int main(int argc, char** argv) {
   if (command == "sweep" && argc == 3) return Sweep(argv[2]);
   if (command == "grid") return Grid(argc, argv);
   if (command == "conform") return Conform(argc, argv);
-  if (command == "simdcheck") return SimdCheck(argc, argv);
   if (command == "numcheck") return Numcheck(argc, argv);
   if (command == "store") return StoreCmd(argc, argv);
   if (command == "stream") return StreamCmd(argc, argv);
