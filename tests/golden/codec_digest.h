@@ -42,6 +42,25 @@ inline uint64_t Fnv1a(uint64_t hash, const uint8_t* data, size_t size) {
   return hash;
 }
 
+/// Compresses `series` at `bound`, decodes the blob, and folds both into
+/// `digest`.
+inline Status FoldRoundTrip(const compress::Compressor& compressor,
+                            const TimeSeries& series, double bound,
+                            CodecDigest* digest) {
+  Result<std::vector<uint8_t>> blob = compressor.Compress(series, bound);
+  if (!blob.ok()) return blob.status();
+  Result<TimeSeries> decoded = compressor.Decompress(*blob);
+  if (!decoded.ok()) return decoded.status();
+  digest->blob_bytes += blob->size();
+  digest->blob_fnv = Fnv1a(digest->blob_fnv, blob->data(), blob->size());
+  for (double v : decoded->values()) {
+    uint8_t bits[sizeof(double)];
+    std::memcpy(bits, &v, sizeof(bits));
+    digest->decoded_fnv = Fnv1a(digest->decoded_fnv, bits, sizeof(bits));
+  }
+  return Status::OK();
+}
+
 /// Digest of `compressor` over the family's first kGoldenCases cases at
 /// `bound`; `codec` only labels the row.
 inline Result<CodecDigest> DigestCodec(const std::string& family, double bound,
@@ -57,16 +76,9 @@ inline Result<CodecDigest> DigestCodec(const std::string& family, double bound,
     Result<conform::CorpusCase> c =
         conform::MakeCorpusCase(family, index, kGoldenBaseSeed);
     if (!c.ok()) return c.status();
-    Result<std::vector<uint8_t>> blob = compressor.Compress(c->series, bound);
-    if (!blob.ok()) return blob.status();
-    Result<TimeSeries> decoded = compressor.Decompress(*blob);
-    if (!decoded.ok()) return decoded.status();
-    digest.blob_bytes += blob->size();
-    digest.blob_fnv = Fnv1a(digest.blob_fnv, blob->data(), blob->size());
-    for (double v : decoded->values()) {
-      uint8_t bits[sizeof(double)];
-      std::memcpy(bits, &v, sizeof(bits));
-      digest.decoded_fnv = Fnv1a(digest.decoded_fnv, bits, sizeof(bits));
+    if (Status s = FoldRoundTrip(compressor, c->series, bound, &digest);
+        !s.ok()) {
+      return s;
     }
   }
   return digest;
