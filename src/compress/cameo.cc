@@ -96,22 +96,38 @@ void GreedyKnots(const std::vector<double>& v, double error_bound,
   }
 }
 
-// Reconstructs the series a knot list describes, via the shared arithmetic.
-std::vector<double> DecodeKnots(const std::vector<double>& v,
-                                const std::vector<size_t>& knots) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  out.push_back(v[0]);
-  size_t s = 0;
-  for (size_t e : knots) {
-    const size_t len = e - s;
-    const double slope = SegmentSlope(v[s], v[e], len);
-    for (size_t k = 1; k <= len; ++k) {
-      out.push_back(ReconstructPoint(v[s], v[e], slope, len, k));
-    }
-    s = e;
+// Writes the reconstruction of the span from knot s to knot e into
+// out[s+1..e], via the shared arithmetic. It reads only v[s], v[e] and the
+// length, so a span keeps its decoded bytes whatever happens to the others.
+void DecodeSpan(const std::vector<double>& v, size_t s, size_t e,
+                std::vector<double>* out) {
+  const size_t len = e - s;
+  const double slope = SegmentSlope(v[s], v[e], len);
+  for (size_t k = 1; k <= len; ++k) {
+    (*out)[s + k] = ReconstructPoint(v[s], v[e], slope, len, k);
   }
-  return out;
+}
+
+// One knot span with its largest pointwise deviation over the interior
+// points s+1..e-1 (the first index attaining it; dev 0 when there is none).
+struct SpanDev {
+  size_t start;
+  size_t end;
+  size_t worst_index;
+  double dev;
+};
+
+SpanDev ScanSpan(const std::vector<double>& v,
+                 const std::vector<double>& decoded, size_t s, size_t e) {
+  SpanDev d{s, e, 0, 0.0};
+  for (size_t i = s + 1; i < e; ++i) {
+    const double diff = std::abs(v[i] - decoded[i]);
+    if (diff > d.dev) {
+      d.dev = diff;
+      d.worst_index = i;
+    }
+  }
+  return d;
 }
 
 }  // namespace
@@ -141,8 +157,21 @@ Result<std::vector<uint8_t>> CameoCompressor::Compress(
       std::min<int>(options_.acf_lag, static_cast<int>(n / 2));
   if (max_lag >= 1 && n > 1) {
     const std::vector<double> acf_orig = features::Acf(v, max_lag);
+    // The reconstruction and one SpanDev per knot span, in knot order. Both
+    // persist across rounds: a round rewrites only the spans it splits, so
+    // only those are re-decoded and re-scanned.
+    std::vector<double> decoded(n);
+    decoded[0] = v[0];
+    std::vector<SpanDev> spans;
+    spans.reserve(knots.size());
+    size_t s = 0;
+    for (size_t e : knots) {
+      DecodeSpan(v, s, e, &decoded);
+      spans.push_back(ScanSpan(v, decoded, s, e));
+      s = e;
+    }
+    std::vector<size_t> ranked;
     for (int round = 0; round < options_.max_refine_rounds; ++round) {
-      const std::vector<double> decoded = DecodeKnots(v, knots);
       const std::vector<double> acf_dec = features::Acf(decoded, max_lag);
       double worst = 0.0;
       for (int l = 0; l < max_lag; ++l) {
@@ -151,62 +180,62 @@ Result<std::vector<uint8_t>> CameoCompressor::Compress(
       }
       if (worst <= options_.acf_tolerance) break;
 
-      // Rank spans by their maximum pointwise deviation (ties by start
-      // index, so the choice is deterministic).
-      struct SpanDev {
-        size_t start;
-        size_t end;
-        size_t worst_index;
-        double dev;
-      };
-      std::vector<SpanDev> spans;
-      size_t s = 0;
-      for (size_t e : knots) {
-        SpanDev d{s, e, 0, 0.0};
-        for (size_t i = s + 1; i < e; ++i) {
-          const double diff = std::abs(v[i] - decoded[i]);
-          if (diff > d.dev) {
-            d.dev = diff;
-            d.worst_index = i;
-          }
+      // Rank the deviating spans by their maximum pointwise deviation (ties
+      // by start index, so the order is total and the choice
+      // deterministic).
+      ranked.clear();
+      for (size_t i = 0; i < spans.size(); ++i) {
+        if (spans[i].end - spans[i].start >= 2 && spans[i].dev > 0.0) {
+          ranked.push_back(i);
         }
-        if (e - s >= 2 && d.dev > 0.0) spans.push_back(d);
-        s = e;
       }
-      if (spans.empty()) break;  // Already pointwise-exact everywhere.
-      std::stable_sort(spans.begin(), spans.end(),
-                       [](const SpanDev& x, const SpanDev& y) {
-                         if (x.dev != y.dev) return x.dev > y.dev;
-                         return x.start < y.start;
-                       });
+      if (ranked.empty()) break;  // Already pointwise-exact everywhere.
       // Split half the deviating spans each round (at least refine_batch):
       // the knot count then grows geometrically, so a large ACF gap closes
-      // within the round cap instead of trickling in 8 knots at a time.
+      // within the round cap instead of trickling in 8 knots at a time. The
+      // order is total, so selecting the top `batch` with nth_element picks
+      // the same set a full sort would.
       const size_t batch =
-          std::max(options_.refine_batch, (spans.size() + 1) / 2);
-      if (spans.size() > batch) spans.resize(batch);
-      std::stable_sort(spans.begin(), spans.end(),
-                       [](const SpanDev& x, const SpanDev& y) {
-                         return x.start < y.start;
-                       });
+          std::max(options_.refine_batch, (ranked.size() + 1) / 2);
+      if (ranked.size() > batch) {
+        std::nth_element(ranked.begin(), ranked.begin() + batch, ranked.end(),
+                         [&spans](size_t x, size_t y) {
+                           if (spans[x].dev != spans[y].dev) {
+                             return spans[x].dev > spans[y].dev;
+                           }
+                           return spans[x].start < spans[y].start;
+                         });
+        ranked.resize(batch);
+      }
+      std::sort(ranked.begin(), ranked.end());  // Knot order.
 
       std::vector<size_t> refined;
-      refined.reserve(knots.size() + 2 * spans.size());
-      size_t span_pos = 0;
-      size_t prev = 0;
-      for (size_t e : knots) {
-        if (span_pos < spans.size() && spans[span_pos].start == prev &&
-            spans[span_pos].end == e) {
-          const size_t w = spans[span_pos].worst_index;
-          GreedyKnots(v, error_bound, prev, w, &refined);
-          GreedyKnots(v, error_bound, w, e, &refined);
-          ++span_pos;
+      std::vector<SpanDev> refined_spans;
+      refined.reserve(knots.size() + 2 * ranked.size());
+      refined_spans.reserve(knots.size() + 2 * ranked.size());
+      size_t next = 0;
+      for (size_t i = 0; i < spans.size(); ++i) {
+        if (next < ranked.size() && ranked[next] == i) {
+          const SpanDev& split = spans[i];
+          const size_t first = refined.size();
+          GreedyKnots(v, error_bound, split.start, split.worst_index,
+                      &refined);
+          GreedyKnots(v, error_bound, split.worst_index, split.end,
+                      &refined);
+          size_t from = split.start;
+          for (size_t k = first; k < refined.size(); ++k) {
+            DecodeSpan(v, from, refined[k], &decoded);
+            refined_spans.push_back(ScanSpan(v, decoded, from, refined[k]));
+            from = refined[k];
+          }
+          ++next;
         } else {
-          refined.push_back(e);
+          refined.push_back(spans[i].end);
+          refined_spans.push_back(spans[i]);
         }
-        prev = e;
       }
       knots = std::move(refined);
+      spans = std::move(refined_spans);
     }
   }
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "compress/header.h"
 #include "compress/serde.h"
@@ -11,27 +14,65 @@ namespace lossyts::compress {
 
 namespace {
 
-// Least-squares polynomial fit of degree `degree` over v[begin, begin+len)
-// against local indices 0..len-1. Returns false when the normal equations
-// are singular (short segments get a lower degree instead).
-bool FitPolynomial(const std::vector<double>& v, size_t begin, size_t len,
-                   int degree, std::array<double, 3>* coeffs) {
-  const int k = degree + 1;
-  double xtx[3][3] = {};
-  double xty[3] = {};
-  for (size_t i = 0; i < len; ++i) {
-    const double t = static_cast<double>(i);
-    double powers[3] = {1.0, t, t * t};
-    for (int r = 0; r < k; ++r) {
-      for (int c = 0; c < k; ++c) xtx[r][c] += powers[r] * powers[c];
-      xty[r] += powers[r] * v[begin + i];
-    }
+// Normal-equation sums over one segment's local indices 0..len-1 for the
+// basis powers = {1, t, t*t}: s[m] is xtx[r][c] for r + c == m (the sum of
+// powers[r]*powers[c]), y[r] sums powers[r]*v. Each entry is its own
+// accumulator, started at 0 and fed in index order, so the sums at `len`
+// are exactly what a from-scratch fit over len points accumulates, for any
+// degree <= 2.
+struct NormalSums {
+  double s[5];
+  double y[3];
+};
+
+// Prefix rows of NormalSums for one segment start: rows[len] covers local
+// indices 0..len-1. The search probes lengths out of order, so rows are
+// appended lazily up to the longest length probed; one vector is reused
+// for every start.
+class PrefixSums {
+ public:
+  void Reset(const double* values) {
+    values_ = values;
+    rows_.assign(1, NormalSums{});
   }
+
+  const NormalSums& At(size_t len) {
+    while (rows_.size() <= len) {
+      const size_t i = rows_.size() - 1;
+      const double t = static_cast<double>(i);
+      const double powers[3] = {1.0, t, t * t};
+      const double v = values_[i];
+      NormalSums next = rows_.back();
+      next.s[0] += powers[0] * powers[0];
+      next.s[1] += powers[0] * powers[1];
+      next.s[2] += powers[1] * powers[1];
+      next.s[3] += powers[1] * powers[2];
+      next.s[4] += powers[2] * powers[2];
+      for (int r = 0; r < 3; ++r) next.y[r] += powers[r] * v;
+      rows_.push_back(next);
+    }
+    return rows_[len];
+  }
+
+ private:
+  const double* values_ = nullptr;
+  std::vector<NormalSums> rows_;
+};
+
+// Least-squares polynomial fit of degree `degree` from the normal-equation
+// sums of a segment (local indices 0..len-1). Returns false when the normal
+// equations are singular (short segments get a lower degree instead).
+// Reading xtx[r][c] as s[r+c] loses nothing: powers[r]*powers[c] ==
+// powers[c]*powers[r] and 1*x == x exactly, so every xtx entry with the
+// same r+c accumulates the same terms.
+bool FitPolynomial(const NormalSums& sums, int degree,
+                   std::array<double, 3>* coeffs) {
+  const int k = degree + 1;
   // Gaussian elimination with partial pivoting on the k-by-k system.
   double a[3][4];
   for (int r = 0; r < k; ++r) {
-    for (int c = 0; c < k; ++c) a[r][c] = xtx[r][c];
-    a[r][k] = xty[r];
+    for (int c = 0; c < k; ++c) a[r][c] = sums.s[r + c];
+    a[r][k] = sums.y[r];
   }
   for (int col = 0; col < k; ++col) {
     int pivot = col;
@@ -82,6 +123,18 @@ struct Segment {
 
 Result<std::vector<uint8_t>> PpaCompressor::Compress(
     const TimeSeries& series, double error_bound) const {
+  // FitPolynomial sizes its system for degree 2, and a segment length is
+  // stored as a u16 (a 65536-point segment would store 0 and never advance).
+  if (options_.max_degree < 0 || options_.max_degree > 2) {
+    return Status::InvalidArgument("PPA max_degree must be in [0, 2], got " +
+                                   std::to_string(options_.max_degree));
+  }
+  if (options_.max_segment_length < 1 ||
+      options_.max_segment_length > std::numeric_limits<uint16_t>::max()) {
+    return Status::InvalidArgument(
+        "PPA max_segment_length must be in [1, 65535], got " +
+        std::to_string(options_.max_segment_length));
+  }
   if (Status s = CheckErrorBound(error_bound); !s.ok()) return s;
   if (series.empty()) {
     return Status::InvalidArgument("cannot compress an empty series");
@@ -91,13 +144,16 @@ Result<std::vector<uint8_t>> PpaCompressor::Compress(
 
   const std::vector<double>& v = series.values();
   std::vector<Segment> segments;
+  PrefixSums sums;
   size_t pos = 0;
   while (pos < v.size()) {
     const size_t remaining =
         std::min(v.size() - pos, options_.max_segment_length);
+    sums.Reset(v.data() + pos);
 
     // Per degree, find the maximal feasible length via exponential growth
-    // followed by binary search (each probe refits and verifies, O(len)).
+    // followed by binary search (each probe solves the fit from the prefix
+    // sums, O(1), and verifies it, O(len)).
     Segment best;
     best.length = 1;
     best.degree = 0;
@@ -110,7 +166,7 @@ Result<std::vector<uint8_t>> PpaCompressor::Compress(
         if (len < static_cast<size_t>(degree) + 1) return false;
         const int effective_degree =
             std::min<int>(degree, static_cast<int>(len) - 1);
-        if (!FitPolynomial(v, pos, len, effective_degree, coeffs)) {
+        if (!FitPolynomial(sums.At(len), effective_degree, coeffs)) {
           return false;
         }
         return Feasible(v, pos, len, *coeffs, error_bound);

@@ -17,9 +17,11 @@ namespace lossyts::compress {
 /// local indices 0..length-1).
 class PpaCompressor : public Compressor {
  public:
+  /// Compress returns InvalidArgument for options outside these ranges.
   struct Options {
-    int max_degree = 2;
-    /// Cap on segment length (bounds the O(length) feasibility checks).
+    int max_degree = 2;  ///< In [0, 2].
+    /// Cap on segment length (bounds the O(length) feasibility checks), in
+    /// [1, 65535]: a segment's length is stored as a u16.
     size_t max_segment_length = 2048;
   };
 

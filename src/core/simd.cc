@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstring>
 
-// This translation unit is compiled with -ffp-contract=off (see the core
-// CMakeLists): a fused multiply-add would round differently from the
-// mul-then-add the identity contract fixes, and the encoders' output bytes
-// would then depend on the compiler and the host.
+// The library is compiled with -ffp-contract=off (see src/CMakeLists.txt):
+// a fused multiply-add would round differently from the mul-then-add the
+// identity contract fixes, and the encoders' output bytes would then depend
+// on the compiler and the host.
 
 namespace lossyts::simd {
 

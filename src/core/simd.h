@@ -14,7 +14,7 @@ namespace lossyts::simd {
 ///    increasing i, starting from +0.0, and the lanes reduce as
 ///    (l0 + l1) + (l2 + l3);
 ///  - element-wise expressions are plain IEEE mul/add/sub/div with no FMA
-///    contraction (simd.cc is compiled with -ffp-contract=off);
+///    contraction (src/ is compiled with -ffp-contract=off);
 ///  - rounding is round-half-to-even (nearbyint in the default mode).
 /// See DESIGN.md "Hot-path kernels & the identity contract".
 

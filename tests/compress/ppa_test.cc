@@ -133,6 +133,44 @@ TEST(PpaTest, EmptySeriesFails) {
   EXPECT_FALSE(ppa.Compress(TimeSeries(), 0.1).ok());
 }
 
+// Regression: FitPolynomial solves at most a 3x3 system, so max_degree 3
+// indexed past its arrays. Options are checked before any segment is fit.
+TEST(PpaTest, MaxDegreeOutsideZeroToTwoIsInvalidArgument) {
+  const TimeSeries ts = NoisySine(100, 1);
+  for (int degree : {-1, 3}) {
+    PpaCompressor::Options options;
+    options.max_degree = degree;
+    Result<std::vector<uint8_t>> blob =
+        PpaCompressor(options).Compress(ts, 0.05);
+    ASSERT_FALSE(blob.ok()) << "max_degree=" << degree;
+    EXPECT_EQ(blob.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Regression: a segment length is stored as a u16, so a feasible 65536-point
+// run (here: a constant series) stored length 0, never advanced, and grew
+// the segment list without bound. The cap is now checked up front.
+TEST(PpaTest, MaxSegmentLengthOutsideU16RangeIsInvalidArgument) {
+  const TimeSeries ts(0, 60, std::vector<double>(70000, 5.0));
+  for (size_t cap : {size_t{0}, size_t{65536}}) {
+    PpaCompressor::Options options;
+    options.max_segment_length = cap;
+    Result<std::vector<uint8_t>> blob =
+        PpaCompressor(options).Compress(ts, 0.05);
+    ASSERT_FALSE(blob.ok()) << "max_segment_length=" << cap;
+    EXPECT_EQ(blob.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The largest storable cap still round-trips: 65535 + 4465 points.
+  PpaCompressor::Options options;
+  options.max_segment_length = 65535;
+  const PpaCompressor ppa(options);
+  Result<std::vector<uint8_t>> blob = ppa.Compress(ts, 0.05);
+  ASSERT_TRUE(blob.ok()) << blob.status().message();
+  Result<TimeSeries> out = ppa.Decompress(*blob);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  EXPECT_EQ(out->values(), ts.values());
+}
+
 TEST(PpaTest, DecompressRejectsCorruption) {
   PpaCompressor ppa;
   TimeSeries ts = NoisySine(200, 1);

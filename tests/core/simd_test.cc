@@ -70,8 +70,8 @@ std::vector<double> RoundingSensitiveInput(std::mt19937_64& rng, size_t n) {
 // ---------------------------------------------------------------------------
 // The executable spec: the indexed-accumulator loops the kernels must match
 // bit for bit. Lane j = i % 4 accumulates its indices in increasing order
-// from +0.0, and the reduction is (l0 + l1) + (l2 + l3). This file is
-// compiled with -ffp-contract=off like simd.cc, so neither side fuses.
+// from +0.0, and the reduction is (l0 + l1) + (l2 + l3). The tests are
+// compiled with -ffp-contract=off like the library, so neither side fuses.
 // ---------------------------------------------------------------------------
 
 void SpecXorDeltas(const double* v, size_t n, uint64_t* out) {

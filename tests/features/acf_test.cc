@@ -1,6 +1,10 @@
 #include "features/acf.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +12,109 @@
 
 namespace lossyts::features {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The executable spec: the lag-outer loops Acf must match bit for bit. Each
+// lag sums (x[t]-mean)*(x[t-lag]-mean) for t = lag..n-1 in its own serial
+// chain; Acf may reorder the loops but not the terms within a lag.
+// ---------------------------------------------------------------------------
+
+std::vector<double> SpecAcf(const std::vector<double>& x, int max_lag) {
+  std::vector<double> acf(static_cast<size_t>(std::max(max_lag, 0)), 0.0);
+  const size_t n = x.size();
+  if (n < 2 || max_lag < 1) return acf;
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= static_cast<double>(n);
+  double c0 = 0.0;
+  for (double v : x) c0 += (v - mean) * (v - mean);
+  if (c0 <= 0.0) return acf;
+  for (int lag = 1; lag <= max_lag; ++lag) {
+    if (static_cast<size_t>(lag) >= n) break;
+    double c = 0.0;
+    for (size_t t = static_cast<size_t>(lag); t < n; ++t) {
+      c += (x[t] - mean) * (x[t - lag] - mean);
+    }
+    acf[lag - 1] = c / c0;
+  }
+  return acf;
+}
+
+// Pacf's Durbin-Levinson recursion over the spec ACF.
+std::vector<double> SpecPacf(const std::vector<double>& x, int max_lag) {
+  std::vector<double> pacf(static_cast<size_t>(std::max(max_lag, 0)), 0.0);
+  if (max_lag < 1 || x.size() < 3) return pacf;
+  const std::vector<double> rho = SpecAcf(x, max_lag);
+  std::vector<double> phi_prev(max_lag + 1, 0.0);
+  std::vector<double> phi(max_lag + 1, 0.0);
+  phi_prev[1] = rho[0];
+  pacf[0] = phi_prev[1];
+  for (int k = 2; k <= max_lag; ++k) {
+    double num = rho[k - 1];
+    double den = 1.0;
+    for (int j = 1; j < k; ++j) {
+      num -= phi_prev[j] * rho[k - 1 - j];
+      den -= phi_prev[j] * rho[j - 1];
+    }
+    const double phikk = std::abs(den) > 1e-12 ? num / den : 0.0;
+    for (int j = 1; j < k; ++j) {
+      phi[j] = phi_prev[j] - phikk * phi_prev[k - j];
+    }
+    phi[k] = phikk;
+    pacf[k - 1] = phikk;
+    phi_prev = phi;
+  }
+  return pacf;
+}
+
+void ExpectBitEqual(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint64_t g;
+    uint64_t w;
+    std::memcpy(&g, &got[i], sizeof(g));
+    std::memcpy(&w, &want[i], sizeof(w));
+    EXPECT_EQ(g, w) << "index " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// A random walk far from zero with full-mantissa steps, so the centered
+// products round and any change to a lag's summation order shows.
+std::vector<double> RandomWalk(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n);
+  double v = 1000.0;
+  for (auto& val : x) {
+    v += rng.Normal();
+    val = v;
+  }
+  return x;
+}
+
+// Lags on both sides of the 8-lag block edges and of the n-1 clamp.
+std::vector<int> SpecLags(size_t n) {
+  const int m = static_cast<int>(n);
+  return {1, 7, 8, 9, 31, 32, 33, m - 1, m, m + 5};
+}
+
+TEST(AcfSpecTest, MatchesLagOuterLoopBitForBit) {
+  std::vector<std::vector<double>> inputs;
+  for (size_t n : {2, 3, 4, 9, 10, 17, 33, 100, 1000, 4099}) {
+    inputs.push_back(RandomWalk(n, 100 + n));
+  }
+  inputs.push_back(std::vector<double>(50, 3.0));
+  inputs.push_back({1.0, 2.0});
+  inputs.push_back({-1.5, 0.25, 7.0});
+  for (const std::vector<double>& x : inputs) {
+    for (int lag : SpecLags(x.size())) {
+      SCOPED_TRACE("n=" + std::to_string(x.size()) +
+                   " max_lag=" + std::to_string(lag));
+      ExpectBitEqual(Acf(x, lag), SpecAcf(x, lag));
+      ExpectBitEqual(Pacf(x, lag), SpecPacf(x, lag));
+    }
+  }
+}
 
 TEST(AcfTest, WhiteNoiseHasNearZeroAcf) {
   Rng rng(1);

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: builds and tests the plain configuration, then rebuilds
-# under ASan and UBSan (LOSSYTS_SANITIZE, see the top-level CMakeLists.txt)
-# so the decoder robustness and failpoint-recovery paths are memory-checked,
-# not just status-checked, and finally under TSan to race-check the thread
-# pool, the progress reporter and the parallel grid's determinism tests.
+# for x86-64-v3 to check that FMA hardware moves no output byte, then under
+# ASan and UBSan (LOSSYTS_SANITIZE, see the top-level CMakeLists.txt) so the
+# decoder robustness and failpoint-recovery paths are memory-checked, not
+# just status-checked, and finally under TSan to race-check the thread pool,
+# the progress reporter and the parallel grid's determinism tests.
 #
 # Usage: tools/ci.sh [build-root]          (default: ci-build)
 set -euo pipefail
@@ -343,7 +344,29 @@ run_config() {
   stream_smoke "${dir}" "${sanitize}"
 }
 
+# Cross-ISA identity leg: rebuild for x86-64-v3 (AVX2 + FMA), where the
+# compiler would fuse a*b+c into one differently-rounded FMA if any part of
+# src/ or tests/ were compiled with contraction on, then run every byte pin
+# (the codec golden rows, GBM fits, query output, the damaged-blob statuses)
+# and the spec tests, plus the conform smoke. Every output must match the
+# baseline build's bytes. Skipped when this CPU cannot run v3 code.
+run_v3() {
+  if ! grep -qw avx2 /proc/cpuinfo || ! grep -qw fma /proc/cpuinfo; then
+    echo "=== v3: skipped, this CPU lacks avx2 or fma ==="
+    return 0
+  fi
+  local dir="${BUILD_ROOT}/v3"
+  echo "=== v3 (-march=x86-64-v3) ==="
+  cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+  cmake --build "${dir}" -j "${JOBS}"
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
+    -R 'GoldenTest|QueryPrecedenceTest|DamagedBlobOutcomesArePinned|SymbolTableMutantTest|SimdTest|AcfSpecTest'
+  "${dir}/tools/lossyts" conform --cases 2
+}
+
 run_config plain ""
+run_v3
 ASAN_OPTIONS=detect_leaks=0 run_config asan address
 UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
