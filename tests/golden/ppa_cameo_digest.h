@@ -14,7 +14,6 @@
 
 #include "compress/pipeline.h"
 #include "core/status.h"
-#include "data/datasets.h"
 #include "golden/codec_digest.h"
 
 namespace lossyts::golden {
@@ -34,31 +33,13 @@ inline Result<CodecDigest> ComputePpaCameoDigest(const std::string& family,
   return DigestCodec(family, bound, codec, **compressor);
 }
 
-/// Digest of `codec` over the six default-option datasets (the series the
-/// compression sweep runs), each at every paper bound, in Table 1 order and
-/// bound order. The row's family is "datasets" and its bound 0.
+/// Digest of `codec` over the six datasets at every paper bound.
 inline Result<CodecDigest> ComputePpaCameoDatasetDigest(
     const std::string& codec) {
   Result<std::unique_ptr<compress::Compressor>> compressor =
       compress::MakeCompressor(codec);
   if (!compressor.ok()) return compressor.status();
-  Result<std::vector<data::Dataset>> datasets = data::MakeAllDatasets();
-  if (!datasets.ok()) return datasets.status();
-  CodecDigest digest;
-  digest.family = "datasets";
-  digest.codec = codec;
-  digest.blob_fnv = kFnvOffset;
-  digest.decoded_fnv = kFnvOffset;
-  for (const data::Dataset& dataset : *datasets) {
-    for (double bound : compress::PaperErrorBounds()) {
-      if (Status s =
-              FoldRoundTrip(**compressor, dataset.series, bound, &digest);
-          !s.ok()) {
-        return s;
-      }
-    }
-  }
-  return digest;
+  return DigestDatasets(codec, **compressor, compress::PaperErrorBounds());
 }
 
 }  // namespace lossyts::golden
