@@ -59,7 +59,7 @@ void ShowSegment(const std::string& dataset_name, double error_bound) {
 int main() {
   std::printf(
       "=== Figure 1: compression output vs original (OR) series ===\n\n");
-  for (const std::string& dataset : {"ETTm1", "ETTm2"}) {
+  for (const char* dataset : {"ETTm1", "ETTm2"}) {
     for (double eb : {0.05, 0.1}) {
       ShowSegment(dataset, eb);
     }

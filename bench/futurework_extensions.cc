@@ -132,7 +132,7 @@ int main() {
   // ---- 3. Extended codec comparison. ----
   std::printf("\n=== §6 extended codecs: CHIMP, GORILLA and PPA ===\n\n");
   eval::TableWriter codec_table({"codec", "eb", "CR", "TE(NRMSE)"});
-  for (const std::string& name : {"GORILLA", "CHIMP"}) {
+  for (const char* name : {"GORILLA", "CHIMP"}) {
     Result<std::unique_ptr<compress::Compressor>> codec =
         compress::MakeCompressor(name);
     if (!codec.ok()) return 1;

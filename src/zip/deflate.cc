@@ -6,6 +6,7 @@
 
 #include "zip/bitstream.h"
 #include "zip/huffman.h"
+#include "zip/lz77.h"
 
 namespace lossyts::zip {
 
@@ -149,8 +150,7 @@ std::vector<int> FixedLitLenLengths() {
 
 }  // namespace
 
-std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input,
-                                     const Lz77Options& options) {
+std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input) {
   BitWriter writer;
   if (input.size() < 8) {
     // Tiny inputs: a stored block is smaller than any Huffman header.
@@ -159,7 +159,7 @@ std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input,
   }
 
   const std::vector<Lz77Token> tokens =
-      Lz77Tokenize(input.data(), input.size(), options);
+      Lz77Tokenize(input.data(), input.size());
 
   // Count symbol frequencies.
   std::vector<uint64_t> lit_freq(kNumLitLenSymbols, 0);

@@ -5,14 +5,13 @@
 #include <vector>
 
 #include "core/status.h"
-#include "zip/lz77.h"
 
 namespace lossyts::zip {
 
 /// Compresses `input` into a raw DEFLATE stream (RFC 1951). The encoder emits
-/// a single dynamic-Huffman block (or a stored block for empty input).
-std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input,
-                                     const Lz77Options& options = {});
+/// a single dynamic-Huffman block (or a stored block for inputs under 8 bytes). Throws
+/// std::length_error for inputs of 2^32 bytes or more (see Lz77Tokenize).
+std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input);
 
 /// Decompresses a raw DEFLATE stream. Supports stored, fixed-Huffman and
 /// dynamic-Huffman blocks. Fails with Corruption on malformed input.

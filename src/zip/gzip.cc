@@ -27,8 +27,7 @@ uint32_t ReadLe32(const uint8_t* p) {
 
 }  // namespace
 
-std::vector<uint8_t> GzipCompress(const std::vector<uint8_t>& input,
-                                  const Lz77Options& options) {
+std::vector<uint8_t> GzipCompress(const std::vector<uint8_t>& input) {
   std::vector<uint8_t> out;
   out.reserve(input.size() / 2 + kHeaderSize + kTrailerSize);
   out.push_back(kMagic1);
@@ -39,7 +38,7 @@ std::vector<uint8_t> GzipCompress(const std::vector<uint8_t>& input,
   out.push_back(0);    // XFL.
   out.push_back(255);  // OS: unknown.
 
-  const std::vector<uint8_t> body = DeflateCompress(input, options);
+  const std::vector<uint8_t> body = DeflateCompress(input);
   out.insert(out.end(), body.begin(), body.end());
 
   AppendLe32(out, ComputeCrc32(input.data(), input.size()));

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/status.h"
-#include "zip/lz77.h"
 
 namespace lossyts::zip {
 
@@ -13,8 +12,8 @@ namespace lossyts::zip {
 /// body, CRC-32 + ISIZE trailer. This is the "final lossless pass" the paper
 /// applies to every compressor output and to the raw datasets, and the .gz
 /// byte count it produces is what compression ratios are computed from.
-std::vector<uint8_t> GzipCompress(const std::vector<uint8_t>& input,
-                                  const Lz77Options& options = {});
+/// Throws std::length_error for inputs of 2^32 bytes or more.
+std::vector<uint8_t> GzipCompress(const std::vector<uint8_t>& input);
 
 /// Decompresses a gzip member produced by GzipCompress (or any encoder using
 /// no optional header fields). Verifies the CRC-32 and ISIZE trailer.

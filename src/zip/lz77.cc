@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace lossyts::zip {
 
@@ -12,6 +14,10 @@ constexpr size_t kMinMatch = 3;
 constexpr size_t kMaxMatch = 258;
 constexpr int kHashBits = 15;
 constexpr size_t kHashSize = 1u << kHashBits;
+// Match effort: candidates probed per search, and the length that ends a
+// search and skips the lazy probe.
+constexpr uint32_t kMaxChain = 128;
+constexpr size_t kGoodLength = 64;
 
 inline uint32_t Hash3(const uint8_t* p) {
   const uint32_t v = static_cast<uint32_t>(p[0]) |
@@ -47,37 +53,54 @@ inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
   return len;
 }
 
+// Every position p with p + kMinMatch <= size, counting-sorted by Hash3 and
+// by position within a hash. The parse searches every such position once, in
+// increasing order, and a search at pos considers exactly the earlier
+// positions with pos's hash, most recent first: sorted[slot[pos] - 1] down to
+// the bucket's start. That is the hash chain a head/prev matcher would walk
+// if it inserted every position before searching past it, so the buckets are
+// built once and never updated.
 struct Matcher {
   const uint8_t* data;
   size_t size;
-  const Lz77Options& options;
-  std::vector<int64_t> head;
-  std::vector<int64_t> prev;
+  std::vector<uint32_t> bucket_start;  // Each hash's first index in sorted.
+  std::vector<uint32_t> sorted;        // Positions, by (hash, position).
+  std::vector<uint32_t> slot;          // slot[p]: p's index in sorted.
 
-  Matcher(const uint8_t* data_in, size_t size_in, const Lz77Options& opts)
-      : data(data_in), size(size_in), options(opts), head(kHashSize, -1),
-        prev(size_in, -1) {}
-
-  void Insert(size_t pos) {
-    if (pos + kMinMatch > size) return;
-    const uint32_t h = Hash3(data + pos);
-    prev[pos] = head[h];
-    head[h] = static_cast<int64_t>(pos);
+  Matcher(const uint8_t* data_in, size_t size_in)
+      : data(data_in), size(size_in), bucket_start(kHashSize, 0) {
+    if (size < kMinMatch) return;
+    const size_t n = size - kMinMatch + 1;
+    sorted.resize(n);
+    slot.resize(n);
+    for (size_t p = 0; p < n; ++p) ++bucket_start[Hash3(data + p)];
+    uint32_t end = 0;
+    for (uint32_t& b : bucket_start) {
+      end += b;
+      b = end;
+    }
+    // Scattering backwards fills each bucket from its end, so positions stay
+    // increasing within a bucket and each bucket's end becomes its start.
+    for (size_t p = n; p-- > 0;) {
+      const uint32_t s = --bucket_start[Hash3(data + p)];
+      sorted[s] = static_cast<uint32_t>(p);
+      slot[p] = s;
+    }
   }
 
-  // Finds the best match at pos (walking the hash chain), then inserts pos.
-  // Returns the length (0 when none of at least kMinMatch exists); distance
-  // comes back through *distance.
-  size_t FindMatch(size_t pos, size_t* distance) {
-    size_t best_len = 0;
+  // Finds the best match at pos. Returns the length (0 when none of at least
+  // kMinMatch exists); distance comes back through *distance.
+  size_t FindMatch(size_t pos, size_t* distance) const {
     if (pos + kMinMatch > size) return 0;
-    const uint32_t h = Hash3(data + pos);
-    int64_t candidate = head[h];
-    int chain = options.max_chain_length;
-    const size_t limit = std::min(kMaxMatch, size - pos);
     const uint8_t* a = data + pos;
-    while (candidate >= 0 && chain-- > 0 &&
-           pos - static_cast<size_t>(candidate) <= kWindowSize) {
+    const uint32_t s = slot[pos];
+    const uint32_t lo = std::max(bucket_start[Hash3(a)],
+                                 s > kMaxChain ? s - kMaxChain : 0u);
+    const size_t limit = std::min(kMaxMatch, size - pos);
+    size_t best_len = 0;
+    for (uint32_t i = s; i > lo;) {
+      const size_t candidate = sorted[--i];
+      if (pos - candidate > kWindowSize) break;
       const uint8_t* b = data + candidate;
       // Cheap rejection: a longer match must improve on the current best's
       // last byte, and 3-byte hashing already filters most of the rest.
@@ -85,30 +108,28 @@ struct Matcher {
         const size_t len = MatchLength(a, b, limit);
         if (len > best_len) {
           best_len = len;
-          *distance = pos - static_cast<size_t>(candidate);
-          if (len >= static_cast<size_t>(options.good_enough_length) ||
-              len >= limit) {
+          *distance = pos - candidate;
+          if (len >= kGoodLength || len >= limit) {
             // limit also bounds a[best_len] above: stopping here keeps the
             // rejection probe in bounds.
             break;
           }
         }
       }
-      candidate = prev[candidate];
     }
-    prev[pos] = head[h];
-    head[h] = static_cast<int64_t>(pos);
     return best_len >= kMinMatch ? best_len : 0;
   }
 };
 
 }  // namespace
 
-std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size,
-                                    const Lz77Options& options) {
+std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size) {
+  if (size > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Lz77Tokenize: input of 2^32 bytes or more");
+  }
   std::vector<Lz77Token> tokens;
   tokens.reserve(size / 2 + 16);
-  Matcher matcher(data, size, options);
+  const Matcher matcher(data, size);
 
   const auto emit_literal = [&](size_t pos) {
     Lz77Token t;
@@ -143,11 +164,7 @@ std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size,
         ++pos;
       } else {
         emit_match(held_len, held_dist);
-        // Index the covered positions (pos - 1 and pos are already in the
-        // chain) so later matches can reference into this run.
-        const size_t match_end = pos - 1 + held_len;
-        for (size_t k = pos + 1; k < match_end; ++k) matcher.Insert(k);
-        pos = match_end;
+        pos += held_len - 1;
         holding = false;
       }
       continue;
@@ -157,12 +174,9 @@ std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size,
       ++pos;
       continue;
     }
-    if (!options.lazy ||
-        len >= static_cast<size_t>(options.good_enough_length)) {
+    if (len >= kGoodLength) {
       emit_match(len, dist);
-      const size_t match_end = pos + len;
-      for (size_t k = pos + 1; k < match_end; ++k) matcher.Insert(k);
-      pos = match_end;
+      pos += len;
       continue;
     }
     held_len = len;

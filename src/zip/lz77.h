@@ -15,21 +15,13 @@ struct Lz77Token {
   uint16_t distance = 0; // 1..32768, valid when is_match.
 };
 
-/// Options controlling match effort (the usual speed/ratio dial).
-struct Lz77Options {
-  int max_chain_length = 128;  ///< Hash-chain positions probed per match.
-  int good_enough_length = 64; ///< Stop probing once a match this long found.
-  /// zlib-style lazy evaluation: before emitting a match at p, probe p+1 and
-  /// prefer a literal + the longer match when one exists. Matches whose
-  /// length already reaches good_enough_length are emitted immediately.
-  bool lazy = true;
-};
-
-/// Hash-chain LZ77 tokenizer over a 32 KiB sliding window with 3-byte
-/// hashing, lazy matching and word-at-a-time match extension, producing
-/// DEFLATE-compatible (length, distance) pairs.
-std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size,
-                                    const Lz77Options& options = {});
+/// LZ77 tokenizer over a 32 KiB sliding window producing DEFLATE-compatible
+/// (length, distance) pairs: 3-byte hashing, up to 128 candidates per search
+/// (most recent first), word-at-a-time match extension and zlib-style lazy
+/// matching (before emitting a match at p, probe p+1 and prefer a literal
+/// plus the longer match; a match of 64 bytes or more is emitted at once).
+/// Positions are 32-bit: throws std::length_error when size >= 2^32.
+std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size);
 
 }  // namespace lossyts::zip
 

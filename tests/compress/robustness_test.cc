@@ -116,7 +116,9 @@ TEST(RobustnessTest, CorruptedSzLengthFieldsAlwaysError) {
     std::vector<uint8_t> mutated = *blob;
     std::memcpy(mutated.data() + pos, &huge, sizeof(huge));
     Result<TimeSeries> out = codec.Decompress(mutated);
-    if (out.ok()) EXPECT_EQ(out->size(), ts.size()) << "pos=" << pos;
+    if (out.ok()) {
+      EXPECT_EQ(out->size(), ts.size()) << "pos=" << pos;
+    }
   }
   for (size_t pos = 1; pos < blob->size(); ++pos) {
     std::vector<uint8_t> mutated = *blob;

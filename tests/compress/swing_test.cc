@@ -105,7 +105,9 @@ TEST(SwingTest, ZeroCrossingsBreakSegments) {
   Result<TimeSeries> out = swing.Decompress(*blob);
   ASSERT_TRUE(out.ok());
   for (size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i] == 0.0) EXPECT_EQ((*out)[i], 0.0) << "i=" << i;
+    if (ts[i] == 0.0) {
+      EXPECT_EQ((*out)[i], 0.0) << "i=" << i;
+    }
   }
 }
 

@@ -37,7 +37,7 @@ TEST(SweepTest, ProducesLossyAndGorillaRows) {
 TEST(SweepTest, TeAndCrGrowWithBound) {
   Result<std::vector<SweepRecord>> records = RunCompressionSweep(TinySweep());
   ASSERT_TRUE(records.ok());
-  for (const std::string& method : {"PMC", "SWING", "SZ"}) {
+  for (const char* method : {"PMC", "SWING", "SZ"}) {
     const SweepRecord* low = nullptr;
     const SweepRecord* high = nullptr;
     for (const SweepRecord& r : *records) {

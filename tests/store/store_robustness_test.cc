@@ -55,9 +55,8 @@ TEST(StoreRobustnessTest, ImagePathIsPerTestAndProcess) {
   const std::string path = ImagePath();
   EXPECT_NE(path.find("ImagePathIsPerTestAndProcess"), std::string::npos)
       << path;
-  EXPECT_NE(path.find("_" + std::to_string(getpid()) + ".lts"),
-            std::string::npos)
-      << path;
+  const std::string pid = std::to_string(getpid());
+  EXPECT_NE(path.find("_" + pid + ".lts"), std::string::npos) << path;
   EXPECT_FALSE(BuildStoreImage({"PMC"}, 400).empty());
   // The image file is removed once read, so no case leaves one behind.
   EXPECT_FALSE(std::ifstream(path).is_open()) << path;

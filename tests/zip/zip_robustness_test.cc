@@ -63,7 +63,9 @@ TEST(ZipRobustnessTest, BitFlippedGzipNeverCrashes) {
     // Flips in ignored header fields (e.g. MTIME) may legitimately decode;
     // a flip that changes the payload must be caught by the CRC trailer.
     Result<std::vector<uint8_t>> out = GzipDecompress(mutated);
-    if (out.ok()) EXPECT_EQ(*out, data);
+    if (out.ok()) {
+      EXPECT_EQ(*out, data);
+    }
   }
   SUCCEED();
 }
@@ -104,7 +106,9 @@ TEST(ZipRobustnessTest, EveryByteZeroedGzipIsHandled) {
     std::vector<uint8_t> mutated = gz;
     mutated[pos] = 0;
     Result<std::vector<uint8_t>> out = GzipDecompress(mutated);
-    if (out.ok()) EXPECT_EQ(*out, data) << "pos=" << pos;
+    if (out.ok()) {
+      EXPECT_EQ(*out, data) << "pos=" << pos;
+    }
   }
 }
 

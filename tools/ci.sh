@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: builds and tests the plain configuration, then rebuilds
-# for x86-64-v3 to check that FMA hardware moves no output byte, then under
-# ASan and UBSan (LOSSYTS_SANITIZE, see the top-level CMakeLists.txt) so the
-# decoder robustness and failpoint-recovery paths are memory-checked, not
-# just status-checked, and finally under TSan to race-check the thread pool,
-# the progress reporter and the parallel grid's determinism tests.
+# CI entry point: builds (warning-free, -Werror) and tests the plain
+# configuration, then rebuilds for x86-64-v3 to check that FMA hardware
+# moves no output byte, then under ASan and UBSan (LOSSYTS_SANITIZE, see the
+# top-level CMakeLists.txt) so the decoder robustness and failpoint-recovery
+# paths are memory-checked, not just status-checked, and finally under TSan
+# to race-check the thread pool, the progress reporter and the parallel
+# grid's determinism tests.
 #
 # Usage: tools/ci.sh [build-root]          (default: ci-build)
 set -euo pipefail
@@ -290,9 +291,14 @@ sweep_smoke() {
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
+  # The plain leg builds with -Werror, so a new warning fails CI; the
+  # sanitizer legs keep warnings as warnings, since instrumentation can
+  # raise diagnostics of its own.
+  local cxx_flags=""
+  if [[ -z "${sanitize}" ]]; then cxx_flags="-Werror"; fi
   echo "=== ${name} (LOSSYTS_SANITIZE='${sanitize}') ==="
   cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DLOSSYTS_SANITIZE="${sanitize}"
+        -DLOSSYTS_SANITIZE="${sanitize}" -DCMAKE_CXX_FLAGS="${cxx_flags}"
   cmake --build "${dir}" -j "${JOBS}"
   if [[ -n "${filter}" ]]; then
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -R "${filter}"
