@@ -69,7 +69,9 @@ WorkloadResult RunWorkload(int jobs, int writers, int batches, int points) {
   options.shards = 2;
   options.jobs = jobs;
   options.shard.codecs = {"GORILLA"};
-  options.shard.sync = false;  // Throughput mode; durability benches lie.
+  // Skips the checkpoint fsyncs only; every append is still fsync'd to the
+  // WAL before its ack.
+  options.shard.sync = false;
   auto daemon = Daemon::Start(options);
   if (!daemon.ok()) {
     std::fprintf(stderr, "micro_serve: daemon start failed: %s\n",

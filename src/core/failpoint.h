@@ -22,12 +22,12 @@ namespace lossyts {
 ///   "train_step"  — forecast::NnForecaster::Fit, before each batch step
 ///   "cache_write" — eval::GridCheckpointWriter::Append, before the row write
 ///   "store_write" — store::StoreWriter, before each chunk frame and before
-///                   the index/footer epilogue; on fire the writer leaves a
-///                   genuinely torn half-frame on disk, the scenario the
-///                   reader's salvage scan recovers from
+///                   the index/footer epilogue; on fire half the frame goes
+///                   out through durable::File::Append, a genuinely torn
+///                   tail the reader's salvage scan recovers from
 ///   "wal_write"   — serve::WalWriter::Append, before each record frame; on
-///                   fire half the frame reaches the log and the writer is
-///                   dead, the torn tail WAL replay must drop
+///                   fire half the frame reaches the log (File::Append) and
+///                   the writer is dead, the torn tail WAL replay must drop
 ///   "wal_fsync"   — serve::WalWriter::Sync, before the fsync that makes a
 ///                   batch of acked appends durable
 ///   "shard_flush" — serve::Shard checkpoint, before each per-series store

@@ -1,6 +1,5 @@
 #include "serve/daemon.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -8,11 +7,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
+#include "core/durable_file.h"
 #include "core/seed.h"
-#include "serve/wal.h"
 
 namespace lossyts::serve {
 
@@ -23,49 +21,20 @@ constexpr uint32_t kMaxShards = 1024;
 /// Accept/idle polls use this tick so stopping_ is observed promptly.
 constexpr int kPollTickMs = 200;
 
+/// The shard-count file holds exactly `<digits>\n`, the only text Start
+/// writes there; anything else is Corruption.
 Result<uint32_t> ReadShardCount(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no shard count file");
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  char buffer[32] = {0};
-  const ssize_t n = ::read(fd, buffer, sizeof(buffer) - 1);
-  ::close(fd);
-  if (n <= 0) return Status::Corruption("empty shard count file " + path);
-  char* end = nullptr;
-  const unsigned long count = std::strtoul(buffer, &end, 10);
-  if (end == buffer || count == 0 || count > kMaxShards) {
+  Result<std::vector<uint8_t>> bytes = durable::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  const std::string text(bytes->begin(), bytes->end());
+  const size_t digits = text.find_first_not_of("0123456789");
+  const bool well_formed = digits >= 1 && digits <= 4 &&
+                           text.compare(digits, std::string::npos, "\n") == 0;
+  const unsigned long count = well_formed ? std::stoul(text) : 0;
+  if (count == 0 || count > kMaxShards) {
     return Status::Corruption("implausible shard count in " + path);
   }
   return static_cast<uint32_t>(count);
-}
-
-Status WriteShardCount(const std::string& dir, const std::string& path,
-                       uint32_t count) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  const std::string text = std::to_string(count) + "\n";
-  Status s = Status::OK();
-  if (::write(fd, text.data(), text.size()) !=
-      static_cast<ssize_t>(text.size())) {
-    s = Status::IoError("write to " + tmp + " failed");
-  }
-  if (s.ok() && ::fsync(fd) != 0) {
-    s = Status::IoError("fsync of " + tmp + " failed");
-  }
-  ::close(fd);
-  if (!s.ok()) return s;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename of " + tmp + " failed: " +
-                           std::strerror(errno));
-  }
-  return SyncDirectory(dir);
 }
 
 /// Waits for readability; +1 ready, 0 timeout, -1 dead fd.
@@ -99,7 +68,7 @@ Result<std::unique_ptr<Daemon>> Daemon::Start(const DaemonOptions& options) {
     return Status::InvalidArgument("shard count must be in [1, " +
                                    std::to_string(kMaxShards) + "]");
   }
-  if (Status s = EnsureDirectory(options.dir); !s.ok()) return s;
+  if (Status s = durable::EnsureDir(options.dir); !s.ok()) return s;
 
   std::unique_ptr<Daemon> daemon(new Daemon());
   daemon->options_ = options;
@@ -116,7 +85,9 @@ Result<std::unique_ptr<Daemon>> Daemon::Start(const DaemonOptions& options) {
   if (persisted.ok()) {
     shards = *persisted;
   } else if (persisted.status().code() == StatusCode::kNotFound) {
-    if (Status s = WriteShardCount(options.dir, count_path, shards);
+    const std::string text = std::to_string(shards) + "\n";
+    if (Status s = durable::AtomicReplace(
+            count_path, std::vector<uint8_t>(text.begin(), text.end()));
         !s.ok()) {
       return s;
     }
@@ -482,8 +453,9 @@ Status Daemon::Stop() {
     if (t.joinable()) t.join();
   }
   // Every admitted append was enqueued with a drain task armed; Wait()
-  // drains them all, so admitted-but-unacked writes still commit.
-  pool_->Wait();
+  // drains them all, so admitted-but-unacked writes still commit. A Start
+  // that failed before the pool existed admitted nothing.
+  if (pool_ != nullptr) pool_->Wait();
   Status first_failure = Status::OK();
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (Status s = shard->Flush();

@@ -1,15 +1,14 @@
 #include "serve/shard.h"
 
 #include <dirent.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
 #include "compress/compressor.h"
+#include "core/durable_file.h"
 #include "core/failpoint.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -56,7 +55,7 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
       return s;
     }
   }
-  if (Status s = EnsureDirectory(dir); !s.ok()) return s;
+  if (Status s = durable::EnsureDir(dir); !s.ok()) return s;
 
   std::unique_ptr<Shard> shard(new Shard());
   shard->dir_ = dir;
@@ -73,7 +72,7 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
     const std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
     if (name.ends_with(kTmpSuffix)) {
-      ::unlink((dir + "/" + name).c_str());
+      (void)durable::Unlink(dir + "/" + name);
       continue;
     }
     if (name.ends_with(kStoreSuffix)) store_files.push_back(name);
@@ -131,12 +130,7 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
     shard->AdvanceStream(state);
   }
 
-  if (valid_bytes < kWalHeaderSize) {
-    // Unreadable header: rebuild the log from scratch (atomically) before
-    // opening it for appends.
-    if (Status s = ResetWalFile(wal_path); !s.ok()) return s;
-    valid_bytes = kWalHeaderSize;
-  }
+  // A missing log, or one with an unreadable header, starts afresh here.
   Result<std::unique_ptr<WalWriter>> wal =
       WalWriter::Open(wal_path, valid_bytes);
   if (!wal.ok()) return wal.status();
@@ -376,13 +370,12 @@ Status Shard::Flush() {
       return abort_flush(s);
     }
     if (Status s = (*writer)->Finish(); !s.ok()) return abort_flush(s);
-    if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-      return abort_flush(Status::IoError("rename of " + tmp_path +
-                                         " failed: " + std::strerror(errno)));
+    if (Status s = durable::Rename(tmp_path, final_path); !s.ok()) {
+      return abort_flush(s);
     }
   }
   if (!dirty.empty() && options_.sync) {
-    if (Status s = SyncDirectory(dir_); !s.ok()) return abort_flush(s);
+    if (Status s = durable::SyncDir(dir_); !s.ok()) return abort_flush(s);
   }
 
   // The stores are durable; the log may now be reset. A crash anywhere up

@@ -32,8 +32,14 @@ struct ShardOptions {
   /// this many bytes the shard rewrites its dirty series as .lts stores and
   /// resets the log. 0 checkpoints after every batch.
   uint64_t flush_wal_bytes = 4u << 20;
-  /// fsync-before-ack. Turning this off voids the durability contract (a
-  /// kill can lose acked writes) and exists only for throughput benches.
+  /// Checkpoint fsyncs: the store's directory fsync at create, its data
+  /// fsync before the footer and its footer fsync (StoreOptions::sync), and
+  /// the directory fsync after the renames. Off skips exactly those and
+  /// nothing else: every append is still fsync'd to the WAL before it is
+  /// acked and the WAL reset is still durable, so a kill -9 loses no acked
+  /// write. A power loss after a checkpoint can, because the reset WAL may
+  /// outlive the renamed store's unsynced data (serve_crash_state_test
+  /// shows such a state). Off exists for ingest benches.
   bool sync = true;
   /// When non-empty ("PMC"/"SWING"), every series additionally feeds a
   /// per-series open streaming compressor at `stream_error_bound`. The

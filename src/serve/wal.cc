@@ -1,12 +1,8 @@
 #include "serve/wal.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
+#include <span>
 #include <utility>
 
 #include "compress/serde.h"
@@ -16,21 +12,6 @@
 namespace lossyts::serve {
 
 namespace {
-
-Status WriteFully(int fd, const uint8_t* data, size_t size,
-                  const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("write to " + path + " failed: " +
-                             std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 std::vector<uint8_t> EncodeWalHeader() {
   compress::ByteWriter writer;
@@ -168,75 +149,30 @@ Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
 }
 
 Result<WalReplay> ReplayWalFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) return Status::NotFound("no wal file at " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(file)),
-                             std::istreambuf_iterator<char>());
-  if (file.bad()) return Status::IoError("reading " + path + " failed");
-  return ReplayWalBytes(bytes);
+  Result<std::vector<uint8_t>> bytes = durable::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return ReplayWalBytes(*bytes);
 }
 
 Status ResetWalFile(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  const std::vector<uint8_t> header = EncodeWalHeader();
-  Status s = WriteFully(fd, header.data(), header.size(), tmp);
-  if (s.ok() && ::fsync(fd) != 0) {
-    s = Status::IoError("fsync of " + tmp + " failed: " +
-                        std::strerror(errno));
-  }
-  ::close(fd);
-  if (!s.ok()) return s;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path + " failed: " +
-                           std::strerror(errno));
-  }
-  const size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) {
-    return SyncDirectory(path.substr(0, slash == 0 ? 1 : slash));
-  }
-  return Status::OK();
+  return durable::AtomicReplace(path, EncodeWalHeader());
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
                                                    uint64_t valid_bytes) {
-  std::unique_ptr<WalWriter> writer(new WalWriter());
-  writer->path_ = path;
-
   struct stat st;
-  const bool exists = ::stat(path.c_str(), &st) == 0;
-  if (!exists) {
+  if (valid_bytes < kWalHeaderSize || ::stat(path.c_str(), &st) != 0) {
     if (Status s = ResetWalFile(path); !s.ok()) return s;
     valid_bytes = kWalHeaderSize;
   }
-  writer->fd_ = ::open(path.c_str(), O_WRONLY);
-  if (writer->fd_ < 0) {
-    return Status::IoError("cannot open " + path + " for appending: " +
-                           std::strerror(errno));
-  }
-  if (valid_bytes < kWalHeaderSize) {
-    return Status::Corruption("wal valid prefix shorter than its header");
-  }
   // Drop the torn tail before appending: everything after the valid prefix
   // is garbage a previous kill left behind.
-  if (::ftruncate(writer->fd_, static_cast<off_t>(valid_bytes)) != 0) {
-    return Status::IoError("truncate of " + path + " failed: " +
-                           std::strerror(errno));
-  }
-  if (::lseek(writer->fd_, 0, SEEK_END) < 0) {
-    return Status::IoError("seek in " + path + " failed: " +
-                           std::strerror(errno));
-  }
+  Result<durable::File> file = durable::File::OpenAppend(path, valid_bytes);
+  if (!file.ok()) return file.status();
+  std::unique_ptr<WalWriter> writer(new WalWriter());
+  writer->file_ = std::move(*file);
   writer->bytes_ = valid_bytes;
   return writer;
-}
-
-WalWriter::~WalWriter() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 Status WalWriter::Append(const WalRecord& record) {
@@ -256,12 +192,11 @@ Status WalWriter::Append(const WalRecord& record) {
   Status crash = FailPoints::Hit("wal_write");
   if (!crash.ok()) {
     failed_ = true;
-    WriteFully(fd_, frame.data(), frame.size() / 2, path_);
+    (void)file_.Append(std::span(frame).first(frame.size() / 2));
     return crash;
   }
 
-  if (Status s = WriteFully(fd_, frame.data(), frame.size(), path_);
-      !s.ok()) {
+  if (Status s = file_.Append(frame); !s.ok()) {
     failed_ = true;
     return s;
   }
@@ -278,33 +213,9 @@ Status WalWriter::Sync() {
     failed_ = true;
     return crash;
   }
-  if (::fsync(fd_) != 0) {
+  if (Status s = file_.Sync(); !s.ok()) {
     failed_ = true;
-    return Status::IoError("fsync of " + path_ + " failed: " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status EnsureDirectory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
-    return Status::OK();
-  }
-  return Status::IoError("cannot create directory " + path + ": " +
-                         std::strerror(errno));
-}
-
-Status SyncDirectory(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("cannot open directory " + path + " for fsync: " +
-                           std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IoError("fsync of directory " + path + " failed: " +
-                           std::strerror(errno));
+    return s;
   }
   return Status::OK();
 }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/durable_file.h"
 #include "core/status.h"
 
 namespace lossyts::serve {
@@ -70,9 +71,8 @@ Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes);
 /// ReplayWalBytes over a file. NotFound when the file does not exist.
 Result<WalReplay> ReplayWalFile(const std::string& path);
 
-/// Creates `path` (atomically, via a .tmp sibling and rename) as an empty
-/// log with a fresh header, fsync'd along with its directory — the WAL reset
-/// step of a shard checkpoint.
+/// Replaces `path` with an empty log (a fresh header) through
+/// durable::AtomicReplace — the WAL reset step of a shard checkpoint.
 Status ResetWalFile(const std::string& path);
 
 /// Append side of the log; single writer per file (the shard's drain task).
@@ -85,12 +85,10 @@ Status ResetWalFile(const std::string& path);
 class WalWriter {
  public:
   /// Opens `path` for appending, truncating it to `valid_bytes` first (the
-  /// prefix ReplayWalFile validated); creates the file with a fresh header
-  /// when it does not exist.
+  /// prefix ReplayWalFile validated). A missing file, or a `valid_bytes`
+  /// short of the header, is replaced by a fresh log (ResetWalFile).
   static Result<std::unique_ptr<WalWriter>> Open(const std::string& path,
                                                  uint64_t valid_bytes);
-
-  ~WalWriter();
 
   /// Writes one record frame. Carries the "wal_write" failpoint: on fire,
   /// half the frame reaches the file and the writer is dead.
@@ -106,17 +104,10 @@ class WalWriter {
  private:
   WalWriter() = default;
 
-  std::string path_;
-  int fd_ = -1;
+  durable::File file_;
   bool failed_ = false;
   uint64_t bytes_ = 0;
 };
-
-/// Creates `path` as a directory if missing (parents must exist).
-Status EnsureDirectory(const std::string& path);
-
-/// fsyncs the directory itself, making renames/creates within it durable.
-Status SyncDirectory(const std::string& path);
 
 }  // namespace lossyts::serve
 

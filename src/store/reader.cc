@@ -1,12 +1,6 @@
 #include "store/reader.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "compress/chimp.h"
@@ -15,6 +9,7 @@
 #include "compress/pipeline.h"
 #include "compress/segment_model.h"
 #include "compress/serde.h"
+#include "core/durable_file.h"
 #include "core/thread_pool.h"
 #include "zip/crc32.h"
 
@@ -27,45 +22,11 @@ bool KnownAlgorithm(uint8_t id) {
          id <= static_cast<uint8_t>(compress::AlgorithmId::kCameo);
 }
 
-// Reads the whole regular file at `path` with one sized read.
-Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::NotFound("no store file at " + path);
-  std::vector<uint8_t> bytes;
-  Status status;
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    status = Status::IoError("reading " + path + " failed: " +
-                             std::strerror(errno));
-  } else if (!S_ISREG(st.st_mode)) {
-    status = Status::IoError("reading " + path +
-                             " failed: not a regular file");
-  } else {
-    bytes.resize(static_cast<size_t>(st.st_size));
-    size_t got = 0;
-    while (got < bytes.size()) {
-      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) {
-        status = Status::IoError("reading " + path + " failed: " +
-                                 std::strerror(errno));
-        break;
-      }
-      if (n == 0) break;  // The file shrank after fstat.
-      got += static_cast<size_t>(n);
-    }
-    bytes.resize(got);
-  }
-  ::close(fd);
-  if (!status.ok()) return status;
-  return bytes;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     const std::string& path) {
-  Result<std::vector<uint8_t>> bytes = ReadWholeFile(path);
+  Result<std::vector<uint8_t>> bytes = durable::ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   return OpenBytes(std::move(*bytes));
 }

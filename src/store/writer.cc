@@ -1,11 +1,7 @@
 #include "store/writer.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
-#include <cstring>
+#include <span>
 #include <utility>
 
 #include "compress/pipeline.h"
@@ -16,27 +12,6 @@
 namespace lossyts::store {
 
 namespace {
-
-/// fsyncs the directory containing `path` so a freshly created file's
-/// directory entry survives power loss (the classic create-then-crash hole).
-Status SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("cannot open directory " + dir + " for fsync: " +
-                           std::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IoError("fsync of directory " + dir + " failed: " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
 
 const std::vector<std::string>& DefaultCodecs() {
   // The paper's three PEBLC methods plus one lossless fallback so chunks
@@ -89,16 +64,15 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
     writer->codecs_.push_back(std::move(*codec));
   }
 
-  writer->path_ = path;
-  writer->fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (writer->fd_ < 0) {
-    return Status::IoError("cannot open " + path + " for writing: " +
-                           std::strerror(errno));
-  }
+  Result<durable::File> file = durable::File::Create(path);
+  if (!file.ok()) return file.status();
+  writer->file_ = std::move(*file);
   if (options.sync) {
     // Make the directory entry itself durable; without this a power loss
     // after Finish could forget the file ever existed.
-    if (Status s = SyncParentDirectory(path); !s.ok()) return s;
+    if (Status s = durable::SyncDir(durable::ParentDir(path)); !s.ok()) {
+      return s;
+    }
   }
 
   StoreHeader header;
@@ -111,46 +85,20 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
   return writer;
 }
 
-StoreWriter::~StoreWriter() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
 Status StoreWriter::WriteAll(const std::vector<uint8_t>& bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + written,
-                              bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      failed_ = true;
-      return Status::IoError("write to " + path_ + " failed: " +
-                             std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
+  if (Status s = file_.Append(bytes); !s.ok()) {
+    failed_ = true;
+    return s;
   }
   offset_ += bytes.size();
   return Status::OK();
 }
 
-void StoreWriter::WriteTorn(const std::vector<uint8_t>& bytes) {
-  size_t written = 0;
-  const size_t half = bytes.size() / 2;
-  while (written < half) {
-    const ssize_t n = ::write(fd_, bytes.data() + written, half - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // The writer is dead anyway; best-effort torn tail.
-    }
-    written += static_cast<size_t>(n);
-  }
-}
-
 Status StoreWriter::SyncFile() {
   if (!options_.sync) return Status::OK();
-  if (::fsync(fd_) != 0) {
+  if (Status s = file_.Sync(); !s.ok()) {
     failed_ = true;
-    return Status::IoError("fsync of " + path_ + " failed: " +
-                           std::strerror(errno));
+    return s;
   }
   return Status::OK();
 }
@@ -211,7 +159,7 @@ Status StoreWriter::WriteChunk(const std::vector<double>& values,
   Status crash = FailPoints::Hit("store_write");
   if (!crash.ok()) {
     failed_ = true;
-    WriteTorn(bytes);
+    (void)file_.Append(std::span(bytes).first(bytes.size() / 2));
     return crash;
   }
 
@@ -328,13 +276,10 @@ Status StoreWriter::Finish() {
 
   if (Status s = WriteAll(tail.Finish()); !s.ok()) return s;
   if (Status s = SyncFile(); !s.ok()) return s;
-  if (::close(fd_) != 0) {
-    fd_ = -1;
+  if (Status s = file_.Close(); !s.ok()) {
     failed_ = true;
-    return Status::IoError("closing " + path_ + " failed: " +
-                           std::strerror(errno));
+    return s;
   }
-  fd_ = -1;
   finished_ = true;
   return Status::OK();
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "compress/compressor.h"
+#include "core/durable_file.h"
 #include "core/status.h"
 #include "core/time_series.h"
 #include "store/format.h"
@@ -39,10 +40,6 @@ class StoreWriter {
   static Result<std::unique_ptr<StoreWriter>> Create(
       const std::string& path, const StoreOptions& options);
 
-  /// Closes the file descriptor if Finish was never reached (an abandoned or
-  /// crashed ingestion leaves a salvageable frame prefix behind).
-  ~StoreWriter();
-
   /// Appends `series` to the stream. The first call fixes the start
   /// timestamp and sampling interval; every later call must continue the
   /// regular grid exactly (same interval, first timestamp == the next
@@ -67,14 +64,12 @@ class StoreWriter {
   Status WriteChunk(const std::vector<double>& values,
                     int64_t first_timestamp);
   Status WriteAll(const std::vector<uint8_t>& bytes);
-  /// Writes a prefix of `bytes` without error handling (the torn-frame
-  /// crash model of the "store_write" failpoint).
-  void WriteTorn(const std::vector<uint8_t>& bytes);
   /// fsyncs the file when options_.sync is set; a no-op otherwise.
   Status SyncFile();
 
-  std::string path_;
-  int fd_ = -1;
+  /// Closed on Finish; an abandoned or crashed ingestion closes it on
+  /// destruction and leaves a salvageable frame prefix behind.
+  durable::File file_;
   StoreOptions options_;
   std::vector<std::unique_ptr<compress::Compressor>> codecs_;
 

@@ -40,7 +40,7 @@ DaemonOptions TestOptions(const std::string& dir) {
   options.shards = 2;
   options.jobs = 1;
   options.shard.codecs = {"GORILLA"};
-  options.shard.sync = false;  // In-process tests need no real fsync.
+  options.shard.sync = false;  // No checkpoint fsyncs; WAL fsyncs stay.
   return options;
 }
 
@@ -467,6 +467,30 @@ TEST_F(ServeDaemonTest, GracefulRestartRecoversEverythingAcked) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->values(), values);
   ASSERT_TRUE((*daemon)->Stop().ok());
+}
+
+// The daemon only ever writes `<digits>\n` to the shards file, so anything
+// else is damage: Start must refuse with Corruption rather than guess a
+// count and hash series to the wrong shard.
+TEST_F(ServeDaemonTest, MalformedShardCountFileIsCorruption) {
+  const std::vector<std::string> contents = {"",        "0\n", "1025\n",
+                                             "two\n",   "2x\n", "2",
+                                             " 2\n",    "2\n\n"};
+  for (const std::string& text : contents) {
+    SCOPED_TRACE("shards file '" + text + "'");
+    const std::string dir = TempDir("daemon_bad_shards");
+    ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+    {
+      std::FILE* file = std::fopen((dir + "/shards").c_str(), "wb");
+      ASSERT_NE(file, nullptr);
+      ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file), text.size());
+      ASSERT_EQ(std::fclose(file), 0);
+    }
+    auto daemon = Daemon::Start(TestOptions(dir));
+    ASSERT_FALSE(daemon.ok());
+    EXPECT_EQ(daemon.status().code(), StatusCode::kCorruption)
+        << daemon.status().ToString();
+  }
 }
 
 TEST_F(ServeDaemonTest, FullQueueRefusesWithRetryNotAnError) {

@@ -34,7 +34,7 @@ std::string TempDir(const std::string& name) {
 ShardOptions LosslessOptions() {
   ShardOptions options;
   options.codecs = {"GORILLA"};  // Bit-exact recovery assertions.
-  options.sync = false;          // In-process tests need no real fsync.
+  options.sync = false;          // No checkpoint fsyncs; WAL fsyncs stay.
   return options;
 }
 

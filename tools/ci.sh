@@ -288,6 +288,23 @@ sweep_smoke() {
     "all-zero sweep fails with: $(head -1 "${out}/zeros.err")"
 }
 
+# One durable-file seam, plain leg only: outside src/core/durable_file.cc
+# nothing in src/ may fsync, rename, truncate or write a file descriptor, or
+# open a file with O_CREAT. Every such call goes through core/durable_file,
+# where the crash-state oracle's op log sees it. Sockets send with ::send
+# and do not match.
+seam_guard() {
+  local hits
+  hits="$(grep -rnE '::(fsync|fdatasync|rename|ftruncate|write)\(|O_CREAT' \
+    "${ROOT}/src" | grep -v "^${ROOT}/src/core/durable_file\.cc:" || true)"
+  if [[ -n "${hits}" ]]; then
+    echo "seam_guard: file-system calls outside src/core/durable_file.cc:"
+    echo "${hits}"
+    return 1
+  fi
+  echo "seam_guard: every file write in src/ goes through core/durable_file"
+}
+
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
@@ -297,6 +314,7 @@ run_config() {
   local cxx_flags=""
   if [[ -z "${sanitize}" ]]; then cxx_flags="-Werror"; fi
   echo "=== ${name} (LOSSYTS_SANITIZE='${sanitize}') ==="
+  if [[ -z "${sanitize}" ]]; then seam_guard; fi
   cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLOSSYTS_SANITIZE="${sanitize}" -DCMAKE_CXX_FLAGS="${cxx_flags}"
   cmake --build "${dir}" -j "${JOBS}"
