@@ -17,7 +17,7 @@ std::atomic<OpLog*> g_op_log{nullptr};
 // Builds the entry only when a log is installed.
 template <typename MakeOp>
 void Record(MakeOp make_op) {
-  if (OpLog* log = g_op_log.load(std::memory_order_relaxed)) {
+  if (OpLog* log = g_op_log.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(log->mu);
     log->ops.push_back(make_op());
   }
@@ -30,7 +30,7 @@ Status Errno(const std::string& what) {
 }  // namespace
 
 void InstallOpLog(OpLog* log) {
-  g_op_log.store(log, std::memory_order_relaxed);
+  g_op_log.store(log, std::memory_order_release);
 }
 
 Result<File> File::Create(const std::string& path) {

@@ -34,7 +34,7 @@ struct Op {
 /// uninstalls; the caller keeps it alive until then), every mutating call
 /// below appends its Op under `mu`, so read `ops` under `mu` until the log
 /// is uninstalled. Only tests install one, so production calls pay one
-/// relaxed atomic load. Reads are not logged.
+/// atomic load. Reads are not logged.
 struct OpLog {
   std::mutex mu;
   std::vector<Op> ops;

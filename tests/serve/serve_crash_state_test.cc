@@ -121,12 +121,7 @@ class FsModel {
     auto it = names_.find(name);
     switch (op.kind) {
       case OpKind::kCreate:
-        if (it != names_.end()) {  // O_TRUNC of an existing file.
-          Inode& inode = inodes_[it->second];
-          inode.current.clear();
-          inode.unsynced.push_back({true, 0, {}});
-          return true;
-        }
+        if (it != names_.end()) return false;  // O_TRUNC is not modelled.
         inodes_.emplace_back();
         names_[name] = inodes_.size() - 1;
         pending_.push_back({OpKind::kCreate, name, "", inodes_.size() - 1});
