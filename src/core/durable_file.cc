@@ -140,7 +140,11 @@ Status SyncDir(const std::string& dir) {
 Status EnsureDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0) {
     Record([&] { return Op{.kind = OpKind::kMkdir, .path = dir}; });
-    return Status::OK();
+    // The new entry lives in the parent: without this a power loss can
+    // drop the directory and everything later made durable inside it.
+    std::string path = dir;
+    while (path.size() > 1 && path.back() == '/') path.pop_back();
+    return SyncDir(ParentDir(path));
   }
   if (errno == EEXIST) return Status::OK();
   return Errno("cannot create directory " + dir);

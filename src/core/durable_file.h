@@ -82,7 +82,8 @@ Status Unlink(const std::string& path);
 /// open() the directory, fsync, close: makes the creates, renames and
 /// unlinks inside it durable.
 Status SyncDir(const std::string& dir);
-/// mkdir() with mode 0755; an existing directory is fine.
+/// mkdir() with mode 0755, then SyncDir of the parent so the new entry
+/// survives a power loss; an existing directory is fine (and not synced).
 Status EnsureDir(const std::string& dir);
 /// The directory holding `path`: "." without a slash, "/" for the root.
 std::string ParentDir(const std::string& path);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "core/metric_registry.h"
+
 namespace lossyts {
 
 namespace {
@@ -29,25 +31,12 @@ double Mean(const std::vector<double>& v) {
 
 Result<double> Rmse(const std::vector<double>& x,
                     const std::vector<double>& y) {
-  if (Status s = CheckSameNonEmpty(x, y); !s.ok()) return s;
-  double ss = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double d = x[i] - y[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss / static_cast<double>(x.size()));
+  return EvaluateFold("rmse", x, y);
 }
 
 Result<double> Nrmse(const std::vector<double>& x,
                      const std::vector<double>& y) {
-  Result<double> rmse = Rmse(x, y);
-  if (!rmse.ok()) return rmse.status();
-  const auto [mn, mx] = std::minmax_element(x.begin(), x.end());
-  const double range = *mx - *mn;
-  if (range <= 0.0) {
-    return Status::FailedPrecondition("NRMSE undefined: reference is constant");
-  }
-  return *rmse / range;
+  return EvaluateFold("nrmse", x, y);
 }
 
 Result<double> Rse(const std::vector<double>& x, const std::vector<double>& y) {
@@ -89,10 +78,7 @@ Result<double> PearsonR(const std::vector<double>& x,
 }
 
 Result<double> Mae(const std::vector<double>& x, const std::vector<double>& y) {
-  if (Status s = CheckSameNonEmpty(x, y); !s.ok()) return s;
-  double sum = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) sum += std::abs(x[i] - y[i]);
-  return sum / static_cast<double>(x.size());
+  return EvaluateFold("mae", x, y);
 }
 
 Result<double> MaxAbsError(const std::vector<double>& x,

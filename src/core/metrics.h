@@ -10,6 +10,8 @@ namespace lossyts {
 /// Distance and similarity metrics from paper §3.5 (Eq. 4-5). In every
 /// function, `x` is the reference (raw/actual) series and `y` the compared
 /// (predicted or decompressed) series; both must be equal-length, non-empty.
+/// Rmse, Nrmse and Mae run the registry's folds (core/metric_registry.h)
+/// over the one run, so they equal the "rmse", "nrmse" and "mae" metrics.
 
 /// Root Mean Square Error.
 Result<double> Rmse(const std::vector<double>& x, const std::vector<double>& y);

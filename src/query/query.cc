@@ -7,9 +7,12 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "core/failpoint.h"
 #include "core/metric_registry.h"
+#include "core/ordered_pipeline.h"
 #include "core/thread_pool.h"
 #include "store/reader.h"
 
@@ -23,7 +26,6 @@ constexpr char kStoreSuffix[] = ".lts";
 /// mode surfaces before any store I/O.
 struct ResolvedQuery {
   std::vector<std::string> metric_names;
-  bool needs_insample = false;
   std::vector<store::AggregateKind> aggregate_kinds;
   std::vector<std::string> aggregate_names;
 };
@@ -53,7 +55,6 @@ Result<ResolvedQuery> ResolveQuery(const QueryOptions& options) {
             "metric '" + name +
             "' needs prediction intervals; stores hold point forecasts");
       }
-      resolved.needs_insample |= spec->needs_insample;
     }
     resolved.metric_names = std::move(*canonical);
   }
@@ -209,18 +210,33 @@ struct GroupAccum {
   uint64_t series_count = 0;
   uint64_t points = 0;
   SeriesAggregate aggregate;
-  std::vector<double> actual;
-  std::vector<double> predicted;
-  size_t pairs = 0;  ///< Pooled pairs placed so far (QueryStoreDir sizing).
+  /// The group's metric folds; set when the query has metrics.
+  std::optional<PooledMetrics> metrics;
 };
 
+using GroupMap = std::map<std::string, GroupAccum>;
+
+/// The group series `name` falls in, created (with fresh metric folds) on
+/// first use.
+Result<GroupAccum*> GroupFor(GroupMap& groups, const std::string& name,
+                             const ResolvedQuery& resolved,
+                             const QueryOptions& options) {
+  GroupAccum& accum = groups[GroupKeyFor(options, name)];
+  if (!resolved.metric_names.empty() && !accum.metrics.has_value()) {
+    Result<PooledMetrics> metrics =
+        PooledMetrics::Create(resolved.metric_names, options.season_length);
+    if (!metrics.ok()) return metrics.status();
+    accum.metrics.emplace(std::move(*metrics));
+  }
+  return &accum;
+}
+
 Result<QueryResult> FinishGroups(const ResolvedQuery& resolved,
-                                 const QueryOptions& options,
-                                 std::map<std::string, GroupAccum>& groups) {
+                                 const GroupMap& groups) {
   QueryResult result;
   result.metric_names = resolved.metric_names;
   result.aggregate_names = resolved.aggregate_names;
-  for (auto& [group, accum] : groups) {
+  for (const auto& [group, accum] : groups) {
     GroupRow row;
     row.group = group;
     row.series_count = accum.series_count;
@@ -230,20 +246,13 @@ Result<QueryResult> FinishGroups(const ResolvedQuery& resolved,
       if (!value.ok()) return value.status();
       row.aggregates.push_back(*value);
     }
-    if (!resolved.metric_names.empty()) {
-      if (accum.actual.empty()) {
+    if (accum.metrics.has_value()) {
+      if (accum.metrics->count() == 0) {
         return Status::InvalidArgument(
             "group '" + group +
             "' has no (actual, predicted) pairs in the requested time range");
       }
-      MetricContext ctx;
-      ctx.actual = &accum.actual;
-      ctx.predicted = &accum.predicted;
-      if (resolved.needs_insample) ctx.insample = &accum.actual;
-      ctx.season_length = std::max(1, options.season_length);
-      ctx.series = group;
-      Result<std::vector<double>> metrics =
-          EvaluateMetrics(resolved.metric_names, ctx);
+      Result<std::vector<double>> metrics = accum.metrics->Finish(group);
       if (!metrics.ok()) return metrics.status();
       row.metrics = std::move(*metrics);
     }
@@ -327,56 +336,165 @@ void FetchAggregates(const std::string& dir,
   pool.Wait();
 }
 
-/// One series of a metric query between the two fetch phases.
+/// One series of a metric query between open and fold.
 struct PairFetch {
   std::unique_ptr<store::StoreReader> actual;
   std::unique_ptr<store::StoreReader> predicted;
   store::StoreReader::Selection actual_sel;
   store::StoreReader::Selection predicted_sel;
   /// Opening or selecting the forecast store failed. That error ranks after
-  /// the actual store's decode, so it waits for phase 2.
+  /// the actual store's decode, so it waits for its place in the pipeline.
   Status predicted_status;
   /// A misaligned pair; ranks after every series' fetch error.
   Status alignment;
   PairOverlap overlap;
 };
 
-/// Copies the part of a run (selection positions [run_start, run_start +
-/// count)) that falls inside the window [window_start, window_start +
-/// window_count) to `out`, which holds the window.
-void CopyWindow(const double* run, size_t count, size_t run_start,
-                size_t window_start, size_t window_count, double* out) {
-  const size_t lo = std::max(run_start, window_start);
-  const size_t hi = std::min(run_start + count, window_start + window_count);
-  if (lo >= hi) return;
-  std::copy(run + (lo - run_start), run + (hi - run_start),
-            out + (lo - window_start));
+/// Decoded chunks the metric pipeline may hold ahead of the fold. A unit is
+/// one chunk, so a metric query holds at most this many decoded chunks (plus
+/// one chunk of unpaired values), whatever the series' lengths.
+constexpr size_t kDecodeWindow = 16;
+
+/// One unit of the metric pipeline: a chunk decode of one side of a series,
+/// or a phase-1 error standing in its canonical place.
+struct ChunkUnit {
+  size_t series = 0;
+  bool actual = true;
+  size_t chunk = 0;
+  bool last = false;  ///< The series' last unit.
+  Status error;       ///< Fails the unit without decoding.
+};
+
+/// The chunks `sel` spans, each keyed by its first selected timestamp.
+std::vector<std::pair<int64_t, size_t>> SelectedChunkStarts(
+    const store::StoreReader& reader,
+    const store::StoreReader::Selection& sel) {
+  std::vector<std::pair<int64_t, size_t>> starts;
+  if (sel.count == 0) return starts;
+  for (size_t c = sel.first_chunk; c <= sel.last_chunk; ++c) {
+    starts.emplace_back(c == sel.first_chunk
+                            ? sel.start_timestamp
+                            : reader.chunks()[c].first_timestamp,
+                        c);
+  }
+  return starts;
 }
 
-/// The metric fetch, in two pool phases around a serial sizing step.
+/// The pipeline's units in canonical order: per series, both selections'
+/// chunks merged by first selected timestamp (actual first on ties), so the
+/// fold never waits on more than about one chunk of the other side. The
+/// list stops at the first phase-1 error, which outranks everything after
+/// it.
+std::vector<ChunkUnit> PlanUnits(const std::vector<PairFetch>& pairs,
+                                 const std::vector<SeriesFetch>& fetched) {
+  std::vector<ChunkUnit> units;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const PairFetch& pair = pairs[i];
+    if (!fetched[i].status.ok()) {
+      units.push_back({i, true, 0, true, fetched[i].status});
+      break;
+    }
+    const auto actual = SelectedChunkStarts(*pair.actual, pair.actual_sel);
+    const auto predicted =
+        pair.predicted_status.ok()
+            ? SelectedChunkStarts(*pair.predicted, pair.predicted_sel)
+            : std::vector<std::pair<int64_t, size_t>>();
+    const size_t first = units.size();
+    size_t a = 0;
+    size_t p = 0;
+    while (a < actual.size() || p < predicted.size()) {
+      const bool take_actual =
+          p == predicted.size() ||
+          (a < actual.size() && actual[a].first <= predicted[p].first);
+      units.push_back({i, take_actual,
+                       take_actual ? actual[a++].second : predicted[p++].second,
+                       false, Status::OK()});
+    }
+    if (!pair.predicted_status.ok()) {
+      units.push_back({i, false, 0, true, pair.predicted_status});
+      break;
+    }
+    if (units.size() > first) units.back().last = true;
+  }
+  return units;
+}
+
+/// Folds one series' decoded runs into its group: clips each run to the
+/// pair overlap and pairs it with the other side's values, holding back
+/// whichever side is ahead. At most one side holds values at a time.
+class PairFolder {
+ public:
+  void Start(const PairFetch& pair, PooledMetrics* metrics) {
+    overlap_ = pair.overlap;
+    metrics_ = pair.alignment.ok() && pair.predicted_status.ok() &&
+                       overlap_.count > 0
+                   ? metrics
+                   : nullptr;
+    position_[0] = position_[1] = 0;
+    carry_[0].clear();
+    carry_[1].clear();
+  }
+
+  /// Stops pairing (a forecast chunk failed; the query fails anyway).
+  void Drop() { metrics_ = nullptr; }
+
+  /// The next run of the actual (side 0) or predicted (side 1) selection.
+  void Feed(int side, const double* run, size_t count) {
+    const size_t at = position_[side];
+    position_[side] += count;
+    if (metrics_ == nullptr) return;
+    const size_t window =
+        side == 0 ? overlap_.actual_offset : overlap_.predicted_offset;
+    const size_t lo = std::max(at, window);
+    const size_t hi = std::min(at + count, window + overlap_.count);
+    if (lo >= hi) return;
+    const double* values = run + (lo - at);
+    const size_t n = hi - lo;
+    std::vector<double>& other = carry_[1 - side];
+    const size_t paired = std::min(n, other.size());
+    if (paired > 0) {
+      if (side == 0) {
+        metrics_->Add(values, other.data(), paired);
+      } else {
+        metrics_->Add(other.data(), values, paired);
+      }
+      other.erase(other.begin(), other.begin() + paired);
+    }
+    carry_[side].insert(carry_[side].end(), values + paired, values + n);
+  }
+
+ private:
+  PairOverlap overlap_;
+  PooledMetrics* metrics_ = nullptr;
+  size_t position_[2] = {0, 0};
+  std::vector<double> carry_[2];
+};
+
+/// The metric fetch: open and select in parallel, align serially, then
+/// decode and fold in one ordered pipeline.
 ///
-///  - Phase 1: each task opens the series' actual and forecast stores and
-///    selects [t0, t1] in both.
-///  - Sizing, serially in canonical order: each aligned pair gets its overlap
-///    and its offset in its group, and every group's pooled actual and
-///    predicted vectors are sized once.
-///  - Phase 2: each task decodes both full selections, copies only the
-///    overlap into the series' disjoint slices of the pooled vectors, and
-///    folds any aggregates over the whole actual selection in time order.
+///  - Phase 1 (pool): each task opens the series' actual and forecast stores
+///    and selects [t0, t1] in both.
+///  - Alignment, serially in canonical order: each pair gets its overlap.
+///  - Pipeline (core/ordered_pipeline): the pool's workers decode the units
+///    PlanUnits lists, at most kDecodeWindow ahead; this thread takes them in
+///    order, folds any aggregates over the whole actual selection and feeds
+///    the overlap's pairs to the group's metric folds.
 ///
-/// The pooled vectors thus hold exactly what appending each series' aligned
-/// pairs in canonical order would. Errors keep their precedence: a series'
-/// error is the first of open actual, decode actual, open forecast, decode
-/// forecast; the first such error in canonical order beats every alignment
-/// error, and the first alignment error in canonical order beats the rest.
-/// So phase 2 decodes a series' actual store even when its forecast store
-/// is missing or misaligned.
+/// Each group's folds thus see exactly the pairs, in exactly the order, of
+/// appending each series' aligned pairs in canonical order. Errors keep
+/// their precedence: a series' error is the first of open actual, decode
+/// actual, open forecast, decode forecast (a forecast decode error waits for
+/// the series' remaining actual chunks); the first such error in canonical
+/// order beats every alignment error, and the first alignment error in
+/// canonical order beats the rest. So every chunk of both selections is
+/// decoded, even outside the overlap and for misaligned pairs.
 Status FetchMetricPairs(const std::string& dir,
                         const std::vector<std::string>& bases,
                         const QueryOptions& options,
                         const ResolvedQuery& resolved, ThreadPool& pool,
                         std::vector<SeriesFetch>& fetched,
-                        std::map<std::string, GroupAccum>& groups) {
+                        const std::vector<GroupAccum*>& group_of) {
   std::vector<PairFetch> pairs(bases.size());
   for (size_t i = 0; i < bases.size(); ++i) {
     pool.Submit([&, i] {
@@ -423,73 +541,68 @@ Status FetchMetricPairs(const std::string& dir,
   }
   pool.Wait();
 
-  std::vector<GroupAccum*> group_of(bases.size());
-  std::vector<size_t> offset(bases.size(), 0);
   for (size_t i = 0; i < bases.size(); ++i) {
-    GroupAccum& accum = groups[GroupKeyFor(options, bases[i])];
-    group_of[i] = &accum;
     PairFetch& pair = pairs[i];
     if (!fetched[i].status.ok() || !pair.predicted_status.ok()) continue;
     Result<PairOverlap> overlap = AlignPairs(
         bases[i], SelectionView(pair.actual_sel),
         pair.actual->interval_seconds(), SelectionView(pair.predicted_sel),
         pair.predicted->interval_seconds());
-    if (!overlap.ok()) {
+    if (overlap.ok()) {
+      pair.overlap = *overlap;
+    } else {
       pair.alignment = overlap.status();
-      continue;
     }
-    pair.overlap = *overlap;
-    offset[i] = accum.pairs;
-    accum.pairs += overlap->count;
-  }
-  for (auto& [group, accum] : groups) {
-    accum.actual.resize(accum.pairs);
-    accum.predicted.resize(accum.pairs);
   }
 
-  const bool fold = !resolved.aggregate_kinds.empty();
-  for (size_t i = 0; i < bases.size(); ++i) {
-    if (!fetched[i].status.ok()) continue;
-    pool.Submit([&, i] {
-      SeriesFetch& out = fetched[i];
-      PairFetch& pair = pairs[i];
-      const PairOverlap& overlap = pair.overlap;
-      // This series' slices of its group's pooled vectors.
-      double* const actual_out = group_of[i]->actual.data() + offset[i];
-      double* const predicted_out =
-          group_of[i]->predicted.data() + offset[i];
-      size_t position = 0;
-      Status decoded = pair.actual->DecodeSelection(
-          pair.actual_sel, 1, [&](const double* run, size_t count) {
-            if (fold) AccumulateValues(run, count, out.aggregate);
-            CopyWindow(run, count, position, overlap.actual_offset,
-                       overlap.count, actual_out);
-            position += count;
-          });
-      pair.actual.reset();  // Frees the file image and its decoded chunks.
-      if (!decoded.ok()) {
-        out.status = decoded;
-        return;
+  const std::vector<ChunkUnit> units = PlanUnits(pairs, fetched);
+  std::vector<Result<std::vector<double>>> decoded(
+      kDecodeWindow, Status::Internal("chunk not decoded"));
+  const bool fold_aggregates = !resolved.aggregate_kinds.empty();
+  PairFolder folder;
+  Status deferred;  // The current series' forecast decode error.
+  size_t current = bases.size();
+  const auto produce = [&](size_t u, size_t slot) -> Status {
+    const ChunkUnit& unit = units[u];
+    if (!unit.error.ok()) return unit.error;
+    const PairFetch& pair = pairs[unit.series];
+    decoded[slot] = (unit.actual ? pair.actual : pair.predicted)
+                        ->DecodeChunk(unit.chunk);
+    return unit.actual ? decoded[slot].status() : Status::OK();
+  };
+  const auto consume = [&](size_t u, size_t slot) -> Status {
+    const ChunkUnit& unit = units[u];
+    PairFetch& pair = pairs[unit.series];
+    if (unit.series != current) {
+      current = unit.series;
+      folder.Start(pair, &*group_of[current]->metrics);
+    }
+    if (!decoded[slot].ok()) {
+      if (deferred.ok()) deferred = decoded[slot].status();
+      folder.Drop();
+    } else {
+      const store::StoreReader::Selection& sel =
+          unit.actual ? pair.actual_sel : pair.predicted_sel;
+      const std::vector<double>& values = *decoded[slot];
+      const size_t from = unit.chunk == sel.first_chunk ? sel.first_local : 0;
+      const size_t to =
+          unit.chunk == sel.last_chunk ? sel.last_local + 1 : values.size();
+      if (unit.actual && fold_aggregates) {
+        AccumulateValues(values.data() + from, to - from,
+                         fetched[unit.series].aggregate);
       }
-      if (!pair.predicted_status.ok()) {
-        out.status = pair.predicted_status;
-        return;
-      }
-      position = 0;
-      decoded = pair.predicted->DecodeSelection(
-          pair.predicted_sel, 1, [&](const double* run, size_t count) {
-            CopyWindow(run, count, position, overlap.predicted_offset,
-                       overlap.count, predicted_out);
-            position += count;
-          });
-      pair.predicted.reset();
-      out.status = decoded;
-    });
-  }
-  pool.Wait();
-
-  for (const SeriesFetch& f : fetched) {
-    if (!f.status.ok()) return f.status;
+      folder.Feed(unit.actual ? 0 : 1, values.data() + from, to - from);
+    }
+    if (!unit.last) return Status::OK();
+    // No later unit reads this series' stores: free the file images.
+    pair.actual.reset();
+    pair.predicted.reset();
+    return deferred;
+  };
+  if (Status s =
+          RunOrdered(pool, units.size(), kDecodeWindow, produce, consume);
+      !s.ok()) {
+    return s;
   }
   for (const PairFetch& pair : pairs) {
     if (!pair.alignment.ok()) return pair.alignment;
@@ -532,7 +645,7 @@ Result<QueryResult> EvaluateGroupedSeries(
               return a->name < b->name;
             });
 
-  std::map<std::string, GroupAccum> groups;
+  GroupMap groups;
   for (const SeriesInput* s : ordered) {
     if (s->actual == nullptr) {
       return Status::InvalidArgument("series '" + s->name +
@@ -547,7 +660,9 @@ Result<QueryResult> EvaluateGroupedSeries(
         s->name.find(options.match) == std::string::npos) {
       continue;
     }
-    GroupAccum& accum = groups[GroupKeyFor(options, s->name)];
+    Result<GroupAccum*> group = GroupFor(groups, s->name, *resolved, options);
+    if (!group.ok()) return group.status();
+    GroupAccum& accum = **group;
     ++accum.series_count;
     const RangeView actual_view =
         ClampToRange(*s->actual, options.t0, options.t1);
@@ -565,15 +680,15 @@ Result<QueryResult> EvaluateGroupedSeries(
           s->name, actual_view, s->actual->interval_seconds(), predicted_view,
           s->predicted->interval_seconds());
       if (!overlap.ok()) return overlap.status();
-      const auto a = s->actual->values().begin() +
-                     (actual_view.begin + overlap->actual_offset);
-      const auto p = s->predicted->values().begin() +
-                     (predicted_view.begin + overlap->predicted_offset);
-      accum.actual.insert(accum.actual.end(), a, a + overlap->count);
-      accum.predicted.insert(accum.predicted.end(), p, p + overlap->count);
+      accum.metrics->Add(
+          s->actual->values().data() + actual_view.begin +
+              overlap->actual_offset,
+          s->predicted->values().data() + predicted_view.begin +
+              overlap->predicted_offset,
+          overlap->count);
     }
   }
-  return FinishGroups(*resolved, options, groups);
+  return FinishGroups(*resolved, groups);
 }
 
 Result<QueryResult> QueryStoreDir(const std::string& dir,
@@ -619,11 +734,17 @@ Result<QueryResult> QueryStoreDir(const std::string& dir,
   // the result is byte-identical for every jobs value. On failure the first
   // error in canonical order wins.
   std::vector<SeriesFetch> fetched(bases.size());
-  std::map<std::string, GroupAccum> groups;
+  GroupMap groups;
+  std::vector<GroupAccum*> group_of(bases.size());
+  for (size_t i = 0; i < bases.size(); ++i) {
+    Result<GroupAccum*> group = GroupFor(groups, bases[i], *resolved, options);
+    if (!group.ok()) return group.status();
+    group_of[i] = *group;
+  }
   ThreadPool pool(options.jobs);
   if (want_metrics) {
     if (Status s = FetchMetricPairs(dir, bases, options, *resolved, pool,
-                                    fetched, groups);
+                                    fetched, group_of);
         !s.ok()) {
       return s;
     }
@@ -636,14 +757,14 @@ Result<QueryResult> QueryStoreDir(const std::string& dir,
 
   QueryResult counters;
   for (size_t i = 0; i < bases.size(); ++i) {
-    GroupAccum& accum = groups[GroupKeyFor(options, bases[i])];
+    GroupAccum& accum = *group_of[i];
     ++accum.series_count;
     accum.points += fetched[i].points;
     MergeAggregate(fetched[i].aggregate, accum.aggregate);
     counters.pushdown_chunks += fetched[i].pushdown_chunks;
     counters.decoded_chunks += fetched[i].decoded_chunks;
   }
-  Result<QueryResult> result = FinishGroups(*resolved, options, groups);
+  Result<QueryResult> result = FinishGroups(*resolved, groups);
   if (!result.ok()) return result.status();
   result->pushdown_chunks = counters.pushdown_chunks;
   result->decoded_chunks = counters.decoded_chunks;

@@ -90,7 +90,8 @@ struct SeriesInput {
 ///
 /// Group semantics are pooled, SQL-style: each group's metric is evaluated
 /// over the concatenation of its series' (actual, predicted) pairs in
-/// canonical (sorted-name) order — not an average of per-series metrics. For
+/// canonical (sorted-name) order (core/metric_registry's PooledMetrics) —
+/// not an average of per-series metrics. For
 /// scaled metrics (MASE) the pooled actual vector doubles as the in-sample
 /// series. A series whose actual and predicted grids disagree (different
 /// interval or misaligned timestamps) is an InvalidArgument naming it.
@@ -101,8 +102,10 @@ Result<QueryResult> EvaluateGroupedSeries(const std::vector<SeriesInput>& series
 /// `<name>.lts` (minus `pred_suffix` stores) is an actual series, read over
 /// [t0, t1] with the per-series work fanned out on `jobs` threads, paired
 /// with `<name><pred_suffix>.lts` when metrics are requested. A metric query
-/// decodes each pair straight into its slice of the group's pooled vectors;
-/// the result equals EvaluateGroupedSeries over ReadRange'd series.
+/// decodes the pairs' chunks on `jobs` threads, a bounded window ahead of
+/// one thread that folds them into each group's metrics in canonical order,
+/// so its memory does not grow with the series' lengths; the result equals
+/// EvaluateGroupedSeries over ReadRange'd series.
 /// Aggregate-only queries go through store/query segment pushdown instead
 /// of decoding. The merge is canonical-order, so the result — and
 /// FormatQueryResult's text — is byte-identical for every `jobs`. Carries

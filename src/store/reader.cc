@@ -271,10 +271,6 @@ std::shared_ptr<const std::vector<double>> StoreReader::InsertLocked(
 
 Result<std::shared_ptr<const std::vector<double>>>
 StoreReader::DecodeChunkValues(size_t index) const {
-  if (index >= chunks_.size()) {
-    return Status::OutOfRange("chunk index " + std::to_string(index) +
-                              " out of range");
-  }
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_.find(index);
@@ -287,16 +283,26 @@ StoreReader::DecodeChunkValues(size_t index) const {
   // Decode outside the lock so parallel range scans overlap; two threads
   // racing on the same cold chunk both decode (each counting a miss) and
   // the first insert wins — the values are identical either way.
+  Result<std::vector<double>> decoded = DecodeChunk(index);
+  if (!decoded.ok()) return decoded.status();
+  auto values =
+      std::make_shared<const std::vector<double>>(std::move(*decoded));
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  ++cache_misses_;
+  return InsertLocked(index, std::move(values));
+}
+
+Result<std::vector<double>> StoreReader::DecodeChunk(size_t index) const {
+  if (index >= chunks_.size()) {
+    return Status::OutOfRange("chunk index " + std::to_string(index) +
+                              " out of range");
+  }
   Result<TimeSeries> decoded = compress::DecompressAny(ChunkPayload(index));
   if (!decoded.ok()) return decoded.status();
   if (decoded->size() != chunks_[index].num_points) {
     return Status::Corruption("chunk decoded to an unexpected point count");
   }
-  auto values = std::make_shared<const std::vector<double>>(
-      std::move(decoded->mutable_values()));
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  ++cache_misses_;
-  return InsertLocked(index, std::move(values));
+  return std::move(decoded->mutable_values());
 }
 
 Result<StoreReader::Selection> StoreReader::Select(int64_t t0,

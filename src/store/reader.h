@@ -101,9 +101,14 @@ class StoreReader {
                          const RunSink& sink) const;
 
   /// Decoded values of chunk `index`, via the cache (decode-once per chunk
-  /// unless ClearChunkCache intervenes).
+  /// unless ClearChunkCache intervenes): DecodeChunk on a miss.
   Result<std::shared_ptr<const std::vector<double>>> DecodeChunkValues(
       size_t index) const;
+
+  /// Decodes chunk `index` without the cache: the codec's full decode,
+  /// checked against the chunk's point count. For one-pass readers that
+  /// never come back to a chunk (QueryStoreDir's metric path).
+  Result<std::vector<double>> DecodeChunk(size_t index) const;
 
   /// Copy of chunk `index`'s codec blob (for segment parsing / pushdown).
   std::vector<uint8_t> ChunkPayload(size_t index) const;

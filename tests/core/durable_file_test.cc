@@ -94,11 +94,36 @@ TEST(DurableFileTest, LogRecordsOnlyWhileInstalledAndOnlyRealChanges) {
               StatusCode::kNotFound);
   InstallOpLog(nullptr);
   const std::vector<Op> ops = log.ops;
-  ASSERT_EQ(ops.size(), 2u);
+  ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0].kind, OpKind::kMkdir);
   EXPECT_EQ(ops[0].path, dir + "/sub");
-  EXPECT_EQ(ops[1].kind, OpKind::kUnlink);
-  EXPECT_EQ(ops[1].path, dir + "/unlogged");
+  EXPECT_EQ(ops[1].kind, OpKind::kSyncDir);
+  EXPECT_EQ(ops[1].path, dir);
+  EXPECT_EQ(ops[2].kind, OpKind::kUnlink);
+  EXPECT_EQ(ops[2].path, dir + "/unlogged");
+}
+
+// A directory EnsureDir creates is made durable in its parent; one that
+// already exists costs no call at all. Trailing slashes name the same
+// directory.
+TEST(DurableFileTest, EnsureDirSyncsTheParentOnlyWhenItCreates) {
+  const std::string parent = FreshDir("durable_ensure");
+  OpLog log;
+  InstallOpLog(&log);
+  EXPECT_TRUE(EnsureDir(parent + "/d").ok());
+  EXPECT_TRUE(EnsureDir(parent + "/d").ok());
+  EXPECT_TRUE(EnsureDir(parent + "/e//").ok());
+  InstallOpLog(nullptr);
+  const std::vector<Op> ops = log.ops;
+  ASSERT_EQ(ops.size(), 4u);
+  EXPECT_EQ(ops[0].kind, OpKind::kMkdir);
+  EXPECT_EQ(ops[0].path, parent + "/d");
+  EXPECT_EQ(ops[1].kind, OpKind::kSyncDir);
+  EXPECT_EQ(ops[1].path, parent);
+  EXPECT_EQ(ops[2].kind, OpKind::kMkdir);
+  EXPECT_EQ(ops[2].path, parent + "/e//");
+  EXPECT_EQ(ops[3].kind, OpKind::kSyncDir);
+  EXPECT_EQ(ops[3].path, parent);
 }
 
 TEST(DurableFileTest, ReadFileRefusesMissingFilesAndDirectories) {

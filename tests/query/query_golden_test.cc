@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metric_registry.h"
 #include "core/rng.h"
 #include "core/time_series.h"
 #include "query/query.h"
@@ -245,27 +246,39 @@ TEST(QueryGoldenTest, OutputDigestsArePinnedAtEveryJobsValue) {
   if (HasFailure()) std::printf("digest table:\n%s", table.c_str());
 }
 
-TEST(QueryGoldenTest, MetricQueriesEqualGroupedEvaluationOfReadRanges) {
-  const std::string dir = BuildGoldenDir("query_golden_reference");
+// The golden directory's series over `range`, read with ReadRange.
+struct RangeReads {
+  std::vector<TimeSeries> actual;
+  std::vector<TimeSeries> predicted;
+  std::vector<SeriesInput> inputs;
+};
+
+void ReadGoldenRange(const std::string& dir, const Range& range,
+                     RangeReads& reads) {
   const std::vector<std::string> names = {"east_1", "east_2", "west_1",
                                           "west_2"};
+  for (const std::string& name : names) {
+    for (const char* suffix : {"", ".pred"}) {
+      Result<std::unique_ptr<store::StoreReader>> reader =
+          store::StoreReader::Open(dir + "/" + name + suffix + ".lts");
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      Result<TimeSeries> series = (*reader)->ReadRange(range.t0, range.t1);
+      ASSERT_TRUE(series.ok()) << series.status().ToString();
+      (*suffix == '\0' ? reads.actual : reads.predicted)
+          .push_back(std::move(*series));
+    }
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    reads.inputs.push_back({names[i], &reads.actual[i], &reads.predicted[i]});
+  }
+}
+
+TEST(QueryGoldenTest, MetricQueriesEqualGroupedEvaluationOfReadRanges) {
+  const std::string dir = BuildGoldenDir("query_golden_reference");
   for (const Range& range : kRanges) {
-    std::vector<TimeSeries> actual;
-    std::vector<TimeSeries> predicted;
-    for (const std::string& name : names) {
-      for (const char* suffix : {"", ".pred"}) {
-        Result<std::unique_ptr<store::StoreReader>> reader =
-            store::StoreReader::Open(dir + "/" + name + suffix + ".lts");
-        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-        Result<TimeSeries> series = (*reader)->ReadRange(range.t0, range.t1);
-        ASSERT_TRUE(series.ok()) << series.status().ToString();
-        (*suffix == '\0' ? actual : predicted).push_back(std::move(*series));
-      }
-    }
-    std::vector<SeriesInput> inputs;
-    for (size_t i = 0; i < names.size(); ++i) {
-      inputs.push_back({names[i], &actual[i], &predicted[i]});
-    }
+    RangeReads reads;
+    ReadGoldenRange(dir, range, reads);
+    const std::vector<SeriesInput>& inputs = reads.inputs;
     for (const Kind& kind : kKinds) {
       if (!kind.metrics) continue;  // Aggregate-only answers by pushdown.
       for (GroupMode mode : kModes) {
@@ -285,13 +298,69 @@ TEST(QueryGoldenTest, MetricQueriesEqualGroupedEvaluationOfReadRanges) {
   }
 }
 
+// Whole-series kernels (r, rse, a metric registered at runtime) see the
+// group's pairs buffered, fold-backed ones (mase at a season length past
+// 1, a two-quantile crps) see them streamed; every kind must equal the
+// in-memory evaluation at every jobs value, across the forecast stores'
+// 100- and 64-point chunks and ranges that cut chunks.
+TEST(QueryGoldenTest, EveryMetricKindEqualsGroupedEvaluationOfReadRanges) {
+  MetricKernel weighted;
+  // Position-weighted squared error plus the in-sample length: wrong if the
+  // pairs arrive out of order or the pooled actual is not the in-sample.
+  weighted.fn = [](const MetricContext& ctx,
+                   const std::vector<double>&) -> Result<double> {
+    const std::vector<double>& a = *ctx.actual;
+    const std::vector<double>& p = *ctx.predicted;
+    double sum = 0.0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      sum += static_cast<double>(i + 1) * (a[i] - p[i]) * (a[i] - p[i]);
+    }
+    return sum / static_cast<double>(a.size()) +
+           static_cast<double>(ctx.insample->size());
+  };
+  weighted.needs_insample = true;
+  const Status registered =
+      MetricRegistry::Global().Register("query_test_weighted", weighted);
+  ASSERT_TRUE(registered.ok() ||
+              registered.code() == StatusCode::kFailedPrecondition);
+
+  const std::string dir = BuildGoldenDir("query_golden_every_kind");
+  for (const Range& range : kRanges) {
+    RangeReads reads;
+    ReadGoldenRange(dir, range, reads);
+    for (GroupMode mode : kModes) {
+      QueryOptions options;
+      options.metrics = {"r", "rse", "mase", "crps@0.1+0.9",
+                         "query_test_weighted", "smape"};
+      options.aggregates = {"SUM", "COUNT"};
+      options.season_length = 3;
+      options.t0 = range.t0;
+      options.t1 = range.t1;
+      options.group_by = mode;
+      Result<QueryResult> expected =
+          EvaluateGroupedSeries(reads.inputs, options);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      for (int jobs : {1, 2, 4}) {
+        options.jobs = jobs;
+        Result<QueryResult> result = QueryStoreDir(dir, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(FormatQueryResult(*result), FormatQueryResult(*expected))
+            << range.name << "/" << GroupModeName(mode) << " jobs " << jobs;
+      }
+    }
+  }
+}
+
 // --- Fetch-error precedence -------------------------------------------------
 
 // Makes chunk `index` of the SZ store at `path` fail at decode time, not at
-// open: its first class byte (payload offset 15, after the 11-byte blob
-// header and the u32 non-zero count) becomes 7, and the frame CRC is
-// recomputed so the store still opens.
-void DamageSzChunk(const std::string& path, size_t index) {
+// open: by default its first class byte (payload offset 15, after the
+// 11-byte blob header and the u32 non-zero count) becomes 7 ("invalid SZ
+// value class"); offset 14 with 0xFF inflates the non-zero count instead
+// ("SZ nonzero count exceeds point count"). The frame CRC is recomputed so
+// the store still opens.
+void DamageSzChunk(const std::string& path, size_t index, size_t offset = 15,
+                   uint8_t value = 7) {
   store::ChunkInfo chunk;
   {
     Result<std::unique_ptr<store::StoreReader>> reader =
@@ -309,7 +378,7 @@ void DamageSzChunk(const std::string& path, size_t index) {
   }
   uint8_t* payload =
       reinterpret_cast<uint8_t*>(bytes.data()) + chunk.offset + 8;
-  payload[15] = 7;
+  payload[offset] = value;
   const uint32_t crc = zip::ComputeCrc32(payload, chunk.payload_size);
   for (int i = 0; i < 4; ++i) {
     payload[chunk.payload_size + i] = static_cast<uint8_t>(crc >> (8 * i));
@@ -324,15 +393,16 @@ TimeSeries Sine(int64_t start, size_t n, uint64_t seed) {
 }
 
 // Runs a metric query at jobs 1 and 4 and requires the decode fault.
-void ExpectDecodeFault(const std::string& dir) {
+void ExpectDecodeFault(
+    const std::string& dir,
+    const std::string& fault = "Corruption: invalid SZ value class") {
   QueryOptions options;
   options.metrics = {"mae"};
   for (int jobs : {1, 4}) {
     options.jobs = jobs;
     Result<QueryResult> result = QueryStoreDir(dir, options);
     ASSERT_FALSE(result.ok()) << "jobs " << jobs;
-    EXPECT_EQ(result.status().ToString(), "Corruption: invalid SZ value class")
-        << "jobs " << jobs;
+    EXPECT_EQ(result.status().ToString(), fault) << "jobs " << jobs;
   }
 }
 
@@ -378,6 +448,39 @@ TEST(QueryPrecedenceTest, DecodeFaultOutsideTheOverlapStillFails) {
   WriteStore(dir + "/d_1.pred.lts", Sine(150 * 60, 250, 10), {"SZ"}, 100);
   DamageSzChunk(dir + "/d_1.lts", 0);
   ExpectDecodeFault(dir);
+}
+
+// (D) A forecast decode fault is a fetch error, so it beats the
+// misalignment of its own pair: a misaligned pair is still decoded.
+TEST(QueryPrecedenceTest, ForecastDecodeFaultBeatsItsOwnMisalignment) {
+  const std::string dir = TempDir("query_prec_own_misaligned");
+  WriteStore(dir + "/m_1.lts", Sine(0, 300, 11), {"GORILLA"}, 128);
+  WriteStore(dir + "/m_1.pred.lts", Sine(30, 300, 12), {"SZ"}, 128);
+  DamageSzChunk(dir + "/m_1.pred.lts", 1);
+  ExpectDecodeFault(dir);
+}
+
+// (E) Decoding the forecast store comes before a later series' missing
+// forecast store.
+TEST(QueryPrecedenceTest, ForecastDecodeFaultBeatsALaterMissingForecast) {
+  const std::string dir = TempDir("query_prec_later_orphan");
+  WriteStore(dir + "/a_1.lts", Sine(0, 300, 13), {"GORILLA"}, 128);
+  WriteStore(dir + "/a_1.pred.lts", Sine(0, 300, 14), {"SZ"}, 128);
+  WriteStore(dir + "/b_1.lts", Sine(0, 300, 15), {"GORILLA"}, 128);
+  DamageSzChunk(dir + "/a_1.pred.lts", 2);
+  ExpectDecodeFault(dir);
+}
+
+// (F) Within a series the actual store's decode comes first, even when a
+// forecast chunk that fails covers earlier timestamps than the actual
+// chunk that fails.
+TEST(QueryPrecedenceTest, ActualDecodeFaultBeatsAnEarlierForecastFault) {
+  const std::string dir = TempDir("query_prec_late_actual");
+  WriteStore(dir + "/f_1.lts", Sine(0, 400, 16), {"SZ"}, 100);
+  WriteStore(dir + "/f_1.pred.lts", Sine(0, 400, 17), {"SZ"}, 100);
+  DamageSzChunk(dir + "/f_1.lts", 3, 14, 0xFF);
+  DamageSzChunk(dir + "/f_1.pred.lts", 0);
+  ExpectDecodeFault(dir, "Corruption: SZ nonzero count exceeds point count");
 }
 
 }  // namespace

@@ -108,8 +108,14 @@ class FsModel {
   explicit FsModel(std::string dir) : dir_(std::move(dir)) {}
 
   // Applies one logged call; false when it falls outside the model (another
-  // directory, a subdirectory, an unknown file).
+  // directory, a subdirectory, an unknown file). The model starts with the
+  // directory in place: the session's first calls create it and fsync its
+  // parent, before anything is written inside it.
   bool Apply(const Op& op) {
+    if (op.kind == OpKind::kMkdir) return op.path == dir_;
+    if (op.kind == OpKind::kSyncDir && op.path == durable::ParentDir(dir_)) {
+      return true;
+    }
     if (op.kind == OpKind::kSyncDir) {
       if (op.path != dir_) return false;
       durable_names_ = names_;
@@ -164,7 +170,7 @@ class FsModel {
         return true;
       }
       default:
-        return false;  // kMkdir: the session directory exists beforehand.
+        return false;
     }
   }
 
@@ -297,7 +303,6 @@ std::map<std::string, std::vector<uint8_t>> ReadDir(const std::string& dir) {
 // after the third; every batch checkpoints.
 Session RunSession(const std::string& dir, bool sync) {
   fs::remove_all(dir);
-  fs::create_directories(dir);
   const ShardOptions options = CrashOptions(sync);
   const std::vector<std::vector<std::pair<int, size_t>>> batches = {
       {{0, 3}},

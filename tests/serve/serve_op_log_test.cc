@@ -3,7 +3,8 @@
 // the syscalls the shard issued before its WAL, store writer, checkpoint
 // and shard-count code moved onto core/durable_file, so they prove that no
 // fsync was added, dropped or reordered by that move; any later change to
-// the durability protocol has to change them on purpose.
+// the durability protocol has to change them on purpose. One has since:
+// creating the shard directory fsyncs its parent ("syncdir ..").
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,11 @@ namespace lossyts::serve {
 namespace {
 
 // "<kind> <path relative to dir> [target | byte count | size]", with the
-// directory itself spelled ".".
+// directory itself spelled "." and its parent "..".
 std::string Describe(const durable::Op& op, const std::string& dir) {
   auto rel = [&](const std::string& path) {
     if (path == dir) return std::string(".");
+    if (path == durable::ParentDir(dir)) return std::string("..");
     if (path.rfind(dir + "/", 0) == 0) return path.substr(dir.size() + 1);
     return path;
   };
@@ -93,9 +95,11 @@ std::vector<std::string> RunSession(bool sync) {
 
 TEST(ServeOpLogTest, SyncSessionIssuesTheseCallsInThisOrder) {
   const std::vector<std::string> expected = {
-      // Shard::Open: the WAL is created through AtomicReplace, then
-      // reopened for appending at its header.
+      // Shard::Open: the directory's entry is made durable in its parent,
+      // the WAL is created through AtomicReplace, then reopened for
+      // appending at its header.
       "mkdir .",
+      "syncdir ..",
       "create wal.log.tmp",
       "append wal.log.tmp 9",
       "sync wal.log.tmp",
@@ -142,10 +146,12 @@ TEST(ServeOpLogTest, SyncSessionIssuesTheseCallsInThisOrder) {
 
 // sync = false drops exactly the checkpoint store's fsyncs (its directory
 // fsync at create, the data and footer fsyncs) and the directory fsync after
-// the renames. The WAL's group-commit fsync and its AtomicReplace reset stay.
+// the renames. The WAL's group-commit fsync, its AtomicReplace reset and the
+// parent fsync after the mkdir stay.
 TEST(ServeOpLogTest, NoSyncSessionDropsOnlyTheCheckpointFsyncs) {
   const std::vector<std::string> expected = {
       "mkdir .",
+      "syncdir ..",
       "create wal.log.tmp",
       "append wal.log.tmp 9",
       "sync wal.log.tmp",

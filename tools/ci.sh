@@ -149,8 +149,9 @@ query_smoke() {
   done
   # Windowed metric + aggregate query over the SZ pair and a Solar pair whose
   # forecast store has 100-point chunks: the range and the chunk spans cut
-  # chunks mid-way, so each series' overlap is copied into its slice of the
-  # one shared group buffer (under ASan, UBSan and TSan in those legs).
+  # chunks mid-way, so the metric pipeline pairs runs whose chunk boundaries
+  # differ, across its decode threads (under ASan, UBSan and TSan in those
+  # legs).
   local wdir="${qdir}/window"
   mkdir -p "${wdir}"
   cp "${qdir}/sz_north.lts" "${qdir}/sz_north.pred.lts" "${wdir}/"
@@ -397,11 +398,12 @@ UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # reporter, the artifact store, the parallel-vs-sequential grid tests, and
 # the serve-daemon/store reader-vs-writer races, the per-series stream
 # state that shards advance under their mutex, the process-wide raw-size
-# memo behind compress::RunPipeline and one fitted forecaster shared by
-# concurrent Predict/PredictBatch calls exercise every cross-thread edge,
-# and a full TSan run of the NN training tests would dominate CI time without
-# touching more shared state.
+# memo behind compress::RunPipeline, one fitted forecaster shared by
+# concurrent Predict/PredictBatch calls, and the ordered pipeline's
+# decode-to-fold hand-off (its own tests and the grouped query's) exercise
+# every cross-thread edge, and a full TSan run of the NN training tests
+# would dominate CI time without touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|PipelineConcurrencyTest|ForecastConcurrencyTest'
+  'ThreadPoolTest|OrderedPipelineTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|PipelineConcurrencyTest|ForecastConcurrencyTest|QueryTest|QueryGoldenTest|QueryPrecedenceTest'
 
 echo "=== ci.sh: all configurations passed ==="
