@@ -528,6 +528,9 @@ Result<Reply> DecodeReply(RequestType type,
     Result<std::string> message = GetLongString(reader);
     if (!message.ok()) return message.status();
     reply.message = std::move(*message);
+    if (reader.remaining() != 0) {
+      return Status::Corruption("reply carries unexpected trailing bytes");
+    }
     return reply;
   }
   if (*kind == static_cast<uint8_t>(ReplyKind::kRetry)) {
@@ -538,6 +541,9 @@ Result<Reply> DecodeReply(RequestType type,
     Result<std::string> message = GetLongString(reader);
     if (!message.ok()) return message.status();
     reply.message = std::move(*message);
+    if (reader.remaining() != 0) {
+      return Status::Corruption("reply carries unexpected trailing bytes");
+    }
     return reply;
   }
   if (*kind != static_cast<uint8_t>(ReplyKind::kOk)) {
@@ -561,6 +567,9 @@ Result<Reply> DecodeReply(RequestType type,
       Result<ServeStats> stats = GetStats(reader);
       if (!stats.ok()) return stats.status();
       reply.stats = *stats;
+      if (reader.remaining() != 0) {
+        return Status::Corruption("reply carries unexpected trailing bytes");
+      }
       return reply;
     }
     case RequestType::kQuery: {

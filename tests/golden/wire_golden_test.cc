@@ -50,9 +50,9 @@ constexpr GoldenRow kGolden[] = {
     {"reply/ok/append", 13, 0x24434CFC59859980ULL,
      0xAF9407B363260D54ULL, 0xAF9407B363260D54ULL, 0x2E141B03235CBA45ULL},
     {"reply/ok/read_range", 85, 0x5220C067F282A2F8ULL,
-     0x3397F056A379C674ULL, 0xAF9407B363260D54ULL, 0xC448FABD4034FD2DULL},
+     0x3397F056A379C674ULL, 0xAF9407B363260D54ULL, 0xE45495C85E910011ULL},
     {"reply/ok/stats", 149, 0x43F6F19483CFA904ULL,
-     0x743B8291B2502774ULL, 0x6E7D7CE958370205ULL, 0x23CE527E39D37817ULL},
+     0x743B8291B2502774ULL, 0xAF9407B363260D54ULL, 0x65D5E939405AAB8DULL},
     {"reply/ok/shutdown", 13, 0x24434CFC59859980ULL,
      0xAF9407B363260D54ULL, 0xAF9407B363260D54ULL, 0x2E141B03235CBA45ULL},
     {"reply/ok/list_series", 42, 0xDEEEEFF6BEAA0055ULL,
@@ -62,9 +62,9 @@ constexpr GoldenRow kGolden[] = {
     {"reply/ok/stream_info", 75, 0xD82DFC1A6AA468F5ULL,
      0x2CA758CF797BCA8CULL, 0xAF9407B363260D54ULL, 0x3C7D82ECBDC24096ULL},
     {"reply/error", 72, 0xAFB8881D5B333DECULL,
-     0x56F83407EC4CA795ULL, 0x679939B5EE6301F4ULL, 0xA26AAD3070B9819BULL},
+     0x56F83407EC4CA795ULL, 0xAF9407B363260D54ULL, 0xA2D0BD0F982BEFAAULL},
     {"reply/retry", 37, 0x4D8C69B9E5258423ULL,
-     0x20DB4421E9C18DB4ULL, 0x8D5D5241947616B8ULL, 0xEEFB9409879760F9ULL},
+     0x20DB4421E9C18DB4ULL, 0xAF9407B363260D54ULL, 0x5E21104030BE6D51ULL},
 };
 // clang-format on
 

@@ -268,6 +268,23 @@ TEST_F(ServeDaemonTest, DecodeRejectsImplausibleCountsAndTrailingBytes) {
   ASSERT_TRUE(DecodeRequest(payload).ok());
   payload.push_back(0);
   EXPECT_EQ(DecodeRequest(payload).status().code(), StatusCode::kCorruption);
+
+  // Every reply kind rejects bytes past its last field too: the kStats kOk
+  // reply, kError and kRetry.
+  Reply stats;
+  stats.stats.points = 7;
+  Reply error = ReplyFromStatus(Status::NotFound("no such series"), 0);
+  Reply retry = ReplyFromStatus(Status::Unavailable("queue full"), 25);
+  for (const auto& [type, reply] :
+       {std::pair{RequestType::kStats, stats},
+        std::pair{RequestType::kAppend, error},
+        std::pair{RequestType::kAppend, retry}}) {
+    std::vector<uint8_t> bytes = EncodeReply(type, reply);
+    ASSERT_TRUE(DecodeReply(type, bytes).ok());
+    bytes.push_back(0);
+    EXPECT_EQ(DecodeReply(type, bytes).status().code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
