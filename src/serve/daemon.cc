@@ -156,8 +156,20 @@ void Daemon::ServeConnection(int fd) {
       type = request->type;
       reply = Handle(std::move(*request));
     }
-    Status written =
-        WriteFrame(fd, EncodeReply(type, reply), options_.client_timeout_ms);
+    std::vector<uint8_t> encoded = EncodeReply(type, reply);
+    if (encoded.size() > kMaxFramePayload) {
+      // Too large for one frame (a long range read): answer with an error
+      // the client can act on, not a frame its ReadFrame would refuse.
+      encoded = EncodeReply(
+          type, ReplyFromStatus(
+                    Status::InvalidArgument(
+                        "reply is " + std::to_string(encoded.size()) +
+                        " bytes; a frame carries at most " +
+                        std::to_string(kMaxFramePayload) +
+                        " (read a shorter range)"),
+                    options_.retry_after_ms));
+    }
+    Status written = WriteFrame(fd, encoded, options_.client_timeout_ms);
     if (!written.ok()) {
       if (written.code() == StatusCode::kUnavailable) {
         evicted_clients_.fetch_add(1, std::memory_order_relaxed);

@@ -704,6 +704,12 @@ Status RecvAll(int fd, uint8_t* data, size_t size, int timeout_ms,
 
 Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
                   int timeout_ms) {
+  if (payload.size() > kMaxFramePayload) {
+    return Status::InvalidArgument(
+        "frame payload is " + std::to_string(payload.size()) +
+        " bytes; a frame carries at most " +
+        std::to_string(kMaxFramePayload));
+  }
   compress::ByteWriter writer;
   writer.PutU32(kFrameMagic);
   writer.PutU32(static_cast<uint32_t>(payload.size()));

@@ -30,7 +30,8 @@ namespace lossyts::serve {
 
 inline constexpr uint32_t kFrameMagic = 0x4D53544Cu;  // "LTSM"
 /// Frames larger than this are rejected before allocation; bounds both a
-/// corrupt length field and a hostile client.
+/// corrupt length field and a hostile client. WriteFrame refuses to send
+/// one, so a peer is never left mid-frame.
 inline constexpr uint32_t kMaxFramePayload = 16u << 20;
 inline constexpr size_t kFrameOverhead = 12;  // magic + size + crc.
 
@@ -147,7 +148,8 @@ Status StatusFromReply(const Reply& reply);
 /// eviction clock: a peer that cannot drain a frame in time gets the
 /// connection dropped). Carries the "socket_write" failpoint — on fire, half
 /// the frame is sent and the error returns, modelling a daemon killed
-/// mid-reply. Unavailable on timeout.
+/// mid-reply. Unavailable on timeout; InvalidArgument, before a byte is
+/// sent, when the payload is over kMaxFramePayload.
 Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
                   int timeout_ms);
 

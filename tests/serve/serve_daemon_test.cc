@@ -319,6 +319,25 @@ TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
   ::close(fds[1]);
 }
 
+TEST_F(ServeDaemonTest, WriteFrameRefusesOversizedPayloadsBeforeSending) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::vector<uint8_t> big(static_cast<size_t>(kMaxFramePayload) + 1);
+  EXPECT_EQ(WriteFrame(fds[0], big, 1000).code(),
+            StatusCode::kInvalidArgument);
+  // Nothing reached the peer, so the connection is still at a frame
+  // boundary and carries the next frame intact.
+  uint8_t byte;
+  EXPECT_EQ(::recv(fds[1], &byte, 1, MSG_DONTWAIT), -1);
+  const std::vector<uint8_t> payload = {7, 8, 9};
+  ASSERT_TRUE(WriteFrame(fds[0], payload, 1000).ok());
+  auto read = ReadFrame(fds[1], 1000);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, payload);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
 // --- The daemon itself ----------------------------------------------------
 
 TEST_F(ServeDaemonTest, EndToEndAppendReadListStats) {
@@ -383,6 +402,35 @@ TEST_F(ServeDaemonTest, EndToEndAppendReadListStats) {
   EXPECT_TRUE((*client)->Shutdown().ok());
   (*daemon)->Wait();
   EXPECT_TRUE((*daemon)->Stop().ok());
+}
+
+TEST_F(ServeDaemonTest, OversizedRangeReadIsAnErrorReply) {
+  const std::string dir = TempDir("daemon_big_read");
+  DaemonOptions options = TestOptions(dir);
+  options.shard.flush_wal_bytes = 64u << 20;  // No checkpoint mid-test.
+  auto daemon = Daemon::Start(options);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  auto client = Client::Connect((*daemon)->socket_path());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // 2.1M points: the full range reply (17 + 8n bytes) is over
+  // kMaxFramePayload. Appends are capped at 1M points each.
+  constexpr int64_t kBatch = 700000;
+  const std::vector<double> values(kBatch, 1.25);
+  for (int64_t b = 0; b < 3; ++b) {
+    ASSERT_TRUE((*client)->Append("big", b * kBatch, 1, values).ok());
+  }
+  const auto whole = (*client)->ReadRange("big", 0, 3 * kBatch);
+  EXPECT_EQ(whole.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(whole.status().message().find(std::to_string(kMaxFramePayload)),
+            std::string::npos)
+      << whole.status().ToString();
+  // The connection survives, and a shorter range fits in one frame.
+  ASSERT_TRUE((*client)->Ping().ok());
+  const auto half = (*client)->ReadRange("big", 0, kBatch - 1);
+  ASSERT_TRUE(half.ok()) << half.status().ToString();
+  EXPECT_EQ(half->values(), values);
+  ASSERT_TRUE((*daemon)->Stop().ok());
 }
 
 TEST_F(ServeDaemonTest, EndToEndGroupedQuery) {
