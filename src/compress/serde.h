@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@ class ByteWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     PutU64(bits);
   }
-  void PutBytes(const std::vector<uint8_t>& data) {
+  void PutBytes(std::span<const uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
   /// Overwrites the u32 already written at byte `offset`.
@@ -134,6 +135,49 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// The one CRC frame of the library. Store chunk records, WAL records and
+// serve protocol messages all travel in it:
+//
+//   Frame := u32 magic, u32 payload_size, payload, u32 crc32(payload)
+//
+// (little-endian, gzip-polynomial CRC32 from zip/crc32.h). A format names its
+// magic and the payload sizes it accepts in a FrameFormat; PutFrame writes
+// the layout and ParseFrame reads it, and nothing else does.
+
+inline constexpr size_t kFrameHeaderSize = 8;  // magic + size.
+inline constexpr size_t kFrameOverhead = 12;   // magic + size + crc.
+
+struct FrameFormat {
+  uint32_t magic = 0;
+  uint32_t min_payload = 0;
+  uint32_t max_payload = 0;
+  const char* name = "frame";  ///< Names the frame in error messages.
+};
+
+/// Appends one frame around `payload`. InvalidArgument, with nothing
+/// appended, when the payload size is outside the format's bounds: a frame
+/// the reader would refuse is never written.
+Status PutFrame(ByteWriter& writer, const FrameFormat& format,
+                std::span<const uint8_t> payload);
+
+/// A verified frame: a view of its payload inside the parsed buffer.
+struct FrameView {
+  std::span<const uint8_t> payload;
+  size_t frame_size = 0;  ///< kFrameOverhead + payload.size().
+};
+
+/// Checks the magic and the size field of the frame header at the start of
+/// `bytes` and returns the payload size; Corruption on a short header, a bad
+/// magic or a size outside the format's bounds. Lets a stream reader refuse
+/// a frame before it reads (or allocates) the payload.
+Result<uint32_t> ParseFrameHeader(std::span<const uint8_t> bytes,
+                                  const FrameFormat& format);
+
+/// Parses the frame at the start of `bytes`: ParseFrameHeader, then
+/// truncation and the CRC. Copies nothing; bytes past the frame are ignored.
+Result<FrameView> ParseFrame(std::span<const uint8_t> bytes,
+                             const FrameFormat& format);
 
 }  // namespace lossyts::compress
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "compress/serde.h"
 #include "core/rng.h"
 #include "serve/wal.h"
 #include "store/format.h"
@@ -253,7 +254,7 @@ std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
       AddStoreTruncation(image, frame + 8 + first.payload_size / 2, out);
       AddStoreTruncation(image, frame + 8 + first.payload_size, out);
       AddStoreTruncation(
-          image, frame + store::kChunkFrameOverhead + first.payload_size, out);
+          image, frame + compress::kFrameOverhead + first.payload_size, out);
 
       // Frame framing fields: magic + payload size, payload edges.
       AddBitFlipRange(image, frame, 8, "frame", out);
@@ -311,9 +312,10 @@ std::vector<Mutant> GenerateWalMutants(const std::vector<uint8_t>& image,
   Result<serve::WalReplay> replay = serve::ReplayWalBytes(image);
   if (replay.ok() && !replay->records.empty()) {
     const size_t frame = serve::kWalHeaderSize;
+    // Replay accepted the record's frame, so it re-encodes.
     const size_t frame_size =
-        serve::EncodeWalRecord(replay->records[0]).size();
-    const size_t payload_size = frame_size - serve::kWalFrameOverhead;
+        serve::EncodeWalRecord(replay->records[0])->size();
+    const size_t payload_size = frame_size - compress::kFrameOverhead;
     AddStoreTruncation(image, frame + 4, out);      // After the magic.
     AddStoreTruncation(image, frame + 8, out);      // After the size field.
     AddStoreTruncation(image, frame + 8 + payload_size / 2, out);
@@ -359,8 +361,9 @@ std::optional<OracleFailure> CheckWalMutant(const Mutant& mutant) {
   std::vector<uint8_t> rebuilt(mutant.blob.begin(),
                                mutant.blob.begin() + serve::kWalHeaderSize);
   for (const serve::WalRecord& record : replay->records) {
-    const std::vector<uint8_t> frame = serve::EncodeWalRecord(record);
-    rebuilt.insert(rebuilt.end(), frame.begin(), frame.end());
+    Result<std::vector<uint8_t>> frame = serve::EncodeWalRecord(record);
+    if (!frame.ok()) return fail("a replayed record does not re-encode");
+    rebuilt.insert(rebuilt.end(), frame->begin(), frame->end());
   }
   if (rebuilt.size() != replay->valid_bytes ||
       std::memcmp(rebuilt.data(), mutant.blob.data(), rebuilt.size()) != 0) {

@@ -14,11 +14,10 @@ namespace lossyts::serve {
 
 // Wire protocol of the serve daemon, over a Unix-domain stream socket.
 //
-// Every message travels in one CRC-framed envelope (little-endian via
-// compress::ByteWriter, gzip-polynomial CRC32 — the same framing as the
-// chunk store and the WAL):
-//
-//   Frame := u32 kFrameMagic, u32 payload_size, payload, u32 crc32(payload)
+// Every message travels in one frame with magic kFrameMagic: the library's
+// one CRC frame (compress/serde.h), shared with the chunk store and the WAL.
+// Each message's payload is written and read by one field list in
+// protocol.cc (encodings in serve/fields.h).
 //
 // A client sends one request frame and reads exactly one reply frame; the
 // connection is otherwise stateless, so either side may drop it at any
@@ -33,7 +32,6 @@ inline constexpr uint32_t kFrameMagic = 0x4D53544Cu;  // "LTSM"
 /// corrupt length field and a hostile client. WriteFrame refuses to send
 /// one, so a peer is never left mid-frame.
 inline constexpr uint32_t kMaxFramePayload = 16u << 20;
-inline constexpr size_t kFrameOverhead = 12;  // magic + size + crc.
 
 enum class RequestType : uint8_t {
   kPing = 1,

@@ -7,6 +7,7 @@
 
 #include "compress/serde.h"
 #include "core/failpoint.h"
+#include "serve/fields.h"
 #include "zip/crc32.h"
 
 namespace lossyts::serve {
@@ -22,98 +23,52 @@ std::vector<uint8_t> EncodeWalHeader() {
   return writer.Finish();
 }
 
-}  // namespace
+constexpr compress::FrameFormat kWalRecordFrame{kWalRecordMagic, 1,
+                                                kWalMaxPayload, "wal record"};
 
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
-  compress::ByteWriter payload;
-  payload.PutU8(static_cast<uint8_t>(record.series.size()));
-  for (const char c : record.series) {
-    payload.PutU8(static_cast<uint8_t>(c));
-  }
-  payload.PutI64(record.first_timestamp);
-  payload.PutI32(record.interval_seconds);
-  payload.PutU64(record.first_index);
-  payload.PutU32(static_cast<uint32_t>(record.values.size()));
-  for (const double v : record.values) payload.PutDouble(v);
-  std::vector<uint8_t> body = payload.Finish();
-
-  compress::ByteWriter frame;
-  frame.PutU32(kWalRecordMagic);
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutBytes(body);
-  frame.PutU32(zip::ComputeCrc32(body.data(), body.size()));
-  return frame.Finish();
+/// The record payload's fields in wire order (serve/fields.h), once for both
+/// directions.
+template <typename V, typename M>
+void WalRecordFields(V& v, M& record) {
+  v.Field(record.series);
+  v.Field(record.first_timestamp);
+  v.Field(record.interval_seconds);
+  v.Field(record.first_index);
+  v.Field(record.values);
 }
 
-namespace {
-
-/// Parses the record frame at `offset`; any defect (bad magic, bad CRC,
-/// truncation, inconsistent counts) returns Corruption, which the caller
-/// treats as "the valid prefix ends here".
-Result<WalRecord> ParseRecordAt(const std::vector<uint8_t>& bytes,
-                                size_t offset) {
-  compress::ByteReader frame(bytes.data() + offset, bytes.size() - offset);
-  Result<uint32_t> magic = frame.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kWalRecordMagic) {
-    return Status::Corruption("wal record has a bad magic");
-  }
-  Result<uint32_t> size = frame.GetU32();
-  if (!size.ok()) return size.status();
-  if (*size == 0 || *size > kWalMaxPayload) {
-    return Status::Corruption("wal record size field is implausible");
-  }
-  if (static_cast<uint64_t>(*size) + 4 > frame.remaining()) {
-    return Status::Corruption("wal record truncated");
-  }
-  const uint8_t* payload = frame.current();
-  if (Status s = frame.Skip(*size); !s.ok()) return s;
-  Result<uint32_t> crc = frame.GetU32();
-  if (!crc.ok()) return crc.status();
-  if (*crc != zip::ComputeCrc32(payload, *size)) {
-    return Status::Corruption("wal record checksum mismatch");
-  }
-
-  compress::ByteReader body(payload, *size);
+/// Decodes one record payload; any defect (truncation, inconsistent counts,
+/// an empty id or value list, a non-positive interval) is Corruption, which
+/// the caller treats as "the valid prefix ends here".
+Result<WalRecord> DecodeWalPayload(std::span<const uint8_t> payload) {
+  FieldReader reader(payload);
   WalRecord record;
-  Result<uint8_t> id_len = body.GetU8();
-  if (!id_len.ok()) return id_len.status();
-  if (*id_len == 0) return Status::Corruption("wal record with an empty id");
-  for (uint8_t i = 0; i < *id_len; ++i) {
-    Result<uint8_t> c = body.GetU8();
-    if (!c.ok()) return c.status();
-    record.series.push_back(static_cast<char>(*c));
+  WalRecordFields(reader, record);
+  if (Status s = reader.Finish(); !s.ok()) return s;
+  if (record.series.empty()) {
+    return Status::Corruption("wal record with an empty id");
   }
-  Result<int64_t> ts = body.GetI64();
-  if (!ts.ok()) return ts.status();
-  record.first_timestamp = *ts;
-  Result<int32_t> interval = body.GetI32();
-  if (!interval.ok()) return interval.status();
-  if (*interval <= 0) {
+  if (record.interval_seconds <= 0) {
     return Status::Corruption("wal record with a non-positive interval");
   }
-  record.interval_seconds = *interval;
-  Result<uint64_t> first_index = body.GetU64();
-  if (!first_index.ok()) return first_index.status();
-  record.first_index = *first_index;
-  Result<uint32_t> count = body.GetU32();
-  if (!count.ok()) return count.status();
-  // The count must account for the remaining payload exactly; anything else
-  // is a corrupt or spliced length field.
-  if (*count == 0 ||
-      body.remaining() != static_cast<uint64_t>(*count) * sizeof(double)) {
-    return Status::Corruption("wal record count disagrees with its payload");
-  }
-  record.values.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<double> v = body.GetDouble();
-    if (!v.ok()) return v.status();
-    record.values.push_back(*v);
+  if (record.values.empty()) {
+    return Status::Corruption("wal record with no values");
   }
   return record;
 }
 
 }  // namespace
+
+Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record) {
+  FieldWriter body;
+  WalRecordFields(body, record);
+  compress::ByteWriter frame;
+  if (Status s = compress::PutFrame(frame, kWalRecordFrame, body.Finish());
+      !s.ok()) {
+    return s;
+  }
+  return frame.Finish();
+}
 
 Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
   compress::ByteReader reader(bytes);
@@ -136,12 +91,14 @@ Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
 
   WalReplay replay;
   size_t pos = kWalHeaderSize;
-  while (pos + kWalFrameOverhead <= bytes.size()) {
-    Result<WalRecord> record = ParseRecordAt(bytes, pos);
+  while (pos < bytes.size()) {
+    Result<compress::FrameView> frame = compress::ParseFrame(
+        std::span(bytes).subspan(pos), kWalRecordFrame);
+    if (!frame.ok()) break;
+    Result<WalRecord> record = DecodeWalPayload(frame->payload);
     if (!record.ok()) break;
-    pos += kWalFrameOverhead + record->values.size() * sizeof(double) +
-           record->series.size() + 25;  // id_len + ts + interval + index + n.
     replay.records.push_back(std::move(*record));
+    pos += frame->frame_size;
   }
   replay.valid_bytes = pos;
   replay.clean = pos == bytes.size();
@@ -185,7 +142,9 @@ Status WalWriter::Append(const WalRecord& record) {
   if (record.values.empty()) {
     return Status::InvalidArgument("wal record must carry at least 1 point");
   }
-  const std::vector<uint8_t> frame = EncodeWalRecord(record);
+  Result<std::vector<uint8_t>> encoded = EncodeWalRecord(record);
+  if (!encoded.ok()) return encoded.status();
+  const std::vector<uint8_t>& frame = *encoded;
 
   // Crash injection: half the frame reaches the log and the writer is dead —
   // the torn tail replay must drop, with every prior record intact.

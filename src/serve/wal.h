@@ -12,16 +12,20 @@
 namespace lossyts::serve {
 
 // Per-shard write-ahead log (all integers little-endian through
-// compress::ByteWriter, CRC32-framed with the gzip polynomial — the same
-// framing discipline as the store chunk frames and checkpoint rows):
+// compress::ByteWriter):
 //
 //   WalFile   := WalHeader WalRecord*
 //   WalHeader := u32 kWalMagic, u8 version, u32 crc32(version)
-//   WalRecord := u32 kWalRecordMagic, u32 payload_size, payload,
-//                u32 crc32(payload)
+//   WalRecord := one frame with magic kWalRecordMagic and a 1..kWalMaxPayload
+//                byte payload: the library's one CRC frame
+//                (compress/serde.h), shared with the chunk store and the
+//                serve protocol
 //   payload   := u8 id_len, id bytes, i64 first_timestamp,
 //                i32 interval_seconds, u64 first_index, u32 count,
 //                count x f64 values
+//
+// The payload is written and read by one field list in wal.cc (encodings in
+// serve/fields.h).
 //
 // `first_index` is the series' point count before the append, which makes
 // replay idempotent: a record whose points are already covered by a
@@ -37,7 +41,6 @@ inline constexpr uint32_t kWalMagic = 0x5753544Cu;        // "LTSW"
 inline constexpr uint32_t kWalRecordMagic = 0x5253544Cu;  // "LTSR"
 inline constexpr uint8_t kWalVersion = 1;
 inline constexpr size_t kWalHeaderSize = 9;
-inline constexpr size_t kWalFrameOverhead = 12;  // magic + size + crc.
 /// Upper bound on one record's payload; a corrupt length field past this is
 /// rejected before any allocation.
 inline constexpr uint32_t kWalMaxPayload = 64u << 20;
@@ -51,8 +54,9 @@ struct WalRecord {
   std::vector<double> values;
 };
 
-/// Serializes one record frame (magic + size + payload + CRC).
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
+/// Serializes one record frame. InvalidArgument when the payload would be
+/// over kWalMaxPayload (replay would refuse the record).
+Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record);
 
 /// Outcome of scanning a log: the longest valid prefix of records, whether a
 /// torn tail was dropped, and the byte length of the valid prefix (the

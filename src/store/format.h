@@ -12,9 +12,8 @@
 namespace lossyts::store {
 
 // On-disk layout of a chunk store file (all integers little-endian, written
-// through compress::ByteWriter; every variable-size region is CRC32-framed
-// with the gzip polynomial from zip/crc32.h, the same framing discipline as
-// the eval/checkpoint row frames):
+// through compress::ByteWriter; every variable-size region carries a CRC32
+// with the gzip polynomial from zip/crc32.h):
 //
 //   StoreFile  := FileHeader ChunkRecord* [IndexBlock Footer]
 //
@@ -22,8 +21,9 @@ namespace lossyts::store {
 //                 u32 chunk_span, u8 codec_count,
 //                 codec_count x (u8 name_len, name bytes),
 //                 u32 crc32(version..names)
-//   ChunkRecord:= u32 kChunkMagic, u32 payload_size, payload bytes,
-//                 u32 crc32(payload)
+//   ChunkRecord:= one frame with magic kChunkMagic and a non-empty payload:
+//                 the library's one CRC frame (compress/serde.h), shared
+//                 with the WAL and the serve protocol
 //   IndexBlock := u32 kIndexMagic, u32 entry_count,
 //                 entry_count x IndexEntry, u32 crc32(entries)
 //   IndexEntry := u64 chunk_offset, i64 first_timestamp, u32 num_points,
@@ -45,9 +45,12 @@ inline constexpr uint32_t kIndexMagic = 0x4953544Cu;   // "LTSI"
 inline constexpr uint32_t kFooterMagic = 0x4653544Cu;  // "LTSF"
 inline constexpr uint8_t kFormatVersion = 1;
 
-/// Fixed byte sizes of the framed regions (for offset arithmetic in the
-/// writer, the salvage scan and the conform store mutator).
-inline constexpr size_t kChunkFrameOverhead = 12;  // magic + size + crc.
+/// The chunk records' frame format.
+inline constexpr compress::FrameFormat kChunkFrame{
+    kChunkMagic, 1, 0xFFFFFFFFu, "chunk frame"};
+
+/// Fixed byte sizes of the index and footer (for offset arithmetic in the
+/// writer, the reader and the conform store mutator).
 inline constexpr size_t kIndexEntrySize = 21;
 inline constexpr size_t kFooterSize = 20;
 

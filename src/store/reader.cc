@@ -1,6 +1,7 @@
 #include "store/reader.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "compress/chimp.h"
@@ -40,32 +41,16 @@ Result<std::unique_ptr<StoreReader>> StoreReader::OpenBytes(
 
 Result<ChunkInfo> StoreReader::ParseFrameAt(size_t offset,
                                             size_t strict_end) const {
-  compress::ByteReader frame(bytes_.data() + offset, strict_end - offset);
-  Result<uint32_t> magic = frame.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kChunkMagic) {
-    return Status::Corruption("chunk frame has a bad magic");
-  }
-  Result<uint32_t> payload_size = frame.GetU32();
-  if (!payload_size.ok()) return payload_size.status();
-  if (*payload_size == 0) {
-    return Status::Corruption("chunk frame with an empty payload");
-  }
-  if (static_cast<uint64_t>(*payload_size) + 4 > frame.remaining()) {
-    return Status::Corruption("chunk frame truncated");
-  }
-  const uint8_t* payload = frame.current();
-  if (Status s = frame.Skip(*payload_size); !s.ok()) return s;
-  Result<uint32_t> crc = frame.GetU32();
-  if (!crc.ok()) return crc.status();
-  if (*crc != zip::ComputeCrc32(payload, *payload_size)) {
-    return Status::Corruption("chunk payload checksum mismatch");
-  }
+  Result<compress::FrameView> frame = compress::ParseFrame(
+      std::span(bytes_).subspan(offset, strict_end - offset), kChunkFrame);
+  if (!frame.ok()) return frame.status();
+  const uint8_t* payload = frame->payload.data();
+  const uint32_t payload_size = static_cast<uint32_t>(frame->payload.size());
 
   if (!KnownAlgorithm(payload[0])) {
     return Status::Corruption("chunk blob has an unknown algorithm id");
   }
-  compress::ByteReader blob(payload, *payload_size);
+  compress::ByteReader blob(payload, payload_size);
   Result<compress::BlobHeader> header = compress::ReadHeader(
       blob, static_cast<compress::AlgorithmId>(payload[0]));
   if (!header.ok()) return header.status();
@@ -84,7 +69,7 @@ Result<ChunkInfo> StoreReader::ParseFrameAt(size_t offset,
   info.first_timestamp = header->first_timestamp;
   info.num_points = header->num_points;
   info.algorithm = header->algorithm;
-  info.payload_size = *payload_size;
+  info.payload_size = payload_size;
   info.interval_seconds = header->interval_seconds;
   return info;
 }
@@ -197,7 +182,7 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
         }
       }
       chunks_.push_back(*info);
-      pos += kChunkFrameOverhead + info->payload_size;
+      pos += compress::kFrameOverhead + info->payload_size;
     }
     if (pos != index_offset) {
       return Status::Corruption("store has chunk data the index omits");
@@ -206,7 +191,7 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
   } else {
     // Salvage mode: keep the longest valid frame prefix, drop the torn tail.
     size_t pos = data_begin;
-    while (pos + kChunkFrameOverhead <= bytes_.size()) {
+    while (pos < bytes_.size()) {
       Result<ChunkInfo> info = ParseFrameAt(pos, bytes_.size());
       if (!info.ok()) break;
       if (chunks_.empty()) {
@@ -222,7 +207,7 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
         }
       }
       chunks_.push_back(*info);
-      pos += kChunkFrameOverhead + info->payload_size;
+      pos += compress::kFrameOverhead + info->payload_size;
     }
     clean_ = false;
   }
@@ -243,7 +228,8 @@ int64_t StoreReader::last_timestamp() const {
 
 std::vector<uint8_t> StoreReader::ChunkPayload(size_t index) const {
   const ChunkInfo& chunk = chunks_[index];
-  const uint8_t* begin = bytes_.data() + chunk.offset + 8;
+  const uint8_t* begin =
+      bytes_.data() + chunk.offset + compress::kFrameHeaderSize;
   return std::vector<uint8_t>(begin, begin + chunk.payload_size);
 }
 

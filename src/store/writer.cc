@@ -135,14 +135,10 @@ Status StoreWriter::WriteChunk(const std::vector<double>& values,
   }
 
   compress::ByteWriter frame;
-  frame.PutU32(kChunkMagic);
-  if (Status s = compress::PutCountU32(frame, best.size(), "chunk payload");
-      !s.ok()) {
+  if (Status s = compress::PutFrame(frame, kChunkFrame, best); !s.ok()) {
     failed_ = true;
     return s;
   }
-  frame.PutBytes(best);
-  frame.PutU32(zip::ComputeCrc32(best.data(), best.size()));
   std::vector<uint8_t> bytes = frame.Finish();
 
   ChunkInfo info;

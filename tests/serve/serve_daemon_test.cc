@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "compress/serde.h"
 #include "core/failpoint.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -302,7 +303,7 @@ TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
     int raw[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, raw), 0);
     ASSERT_TRUE(WriteFrame(raw[0], payload, 1000).ok());
-    frame_bytes.resize(payload.size() + kFrameOverhead);
+    frame_bytes.resize(payload.size() + compress::kFrameOverhead);
     ASSERT_EQ(::recv(raw[1], frame_bytes.data(), frame_bytes.size(), 0),
               static_cast<ssize_t>(frame_bytes.size()));
     ::close(raw[0]);
