@@ -403,13 +403,19 @@ Result<double> StoreReader::ReadPoint(int64_t timestamp) const {
   }
 }
 
-Status StoreReader::DecodeSelection(const Selection& sel, int jobs,
-                                   const RunSink& sink) const {
-  if (sel.count == 0) return Status::OK();
+Result<TimeSeries> StoreReader::ReadRange(int64_t t0, int64_t t1,
+                                          int jobs) const {
+  Result<Selection> selection = Select(t0, t1);
+  if (!selection.ok()) return selection.status();
+  const Selection& sel = *selection;
+  if (sel.count == 0) {
+    return TimeSeries(start_timestamp_, interval_, {});
+  }
   const size_t n_chunks = sel.last_chunk - sel.first_chunk + 1;
 
-  // Slot-indexed parallel decode, handed over in chunk order below — the
-  // runs are the same for every jobs value.
+  // Slot-indexed parallel decode, appended in chunk order below — the
+  // values are the same for every jobs value, and a failure is the first
+  // one in chunk order.
   std::vector<Result<std::shared_ptr<const std::vector<double>>>> slots(
       n_chunks, Status::Internal("chunk decode did not run"));
   {
@@ -421,40 +427,20 @@ Status StoreReader::DecodeSelection(const Selection& sel, int jobs,
     }
     pool.Wait();
   }
+  std::vector<double> values;
+  values.reserve(sel.count);
   for (size_t i = 0; i < n_chunks; ++i) {
     if (!slots[i].ok()) return slots[i].status();
-  }
-
-  for (size_t i = 0; i < n_chunks; ++i) {
     const size_t chunk_index = sel.first_chunk + i;
     const std::vector<double>& decoded = **slots[i];
     const size_t from = chunk_index == sel.first_chunk ? sel.first_local : 0;
     const size_t to = chunk_index == sel.last_chunk
                           ? sel.last_local
                           : chunks_[chunk_index].num_points - 1;
-    sink(decoded.data() + from, to - from + 1);
+    values.insert(values.end(), decoded.begin() + from,
+                  decoded.begin() + to + 1);
   }
-  return Status::OK();
-}
-
-Result<TimeSeries> StoreReader::ReadRange(int64_t t0, int64_t t1,
-                                          int jobs) const {
-  Result<Selection> selection = Select(t0, t1);
-  if (!selection.ok()) return selection.status();
-  if (selection->count == 0) {
-    return TimeSeries(start_timestamp_, interval_, {});
-  }
-  std::vector<double> values;
-  values.reserve(selection->count);
-  if (Status s = DecodeSelection(
-          *selection, jobs,
-          [&values](const double* run, size_t count) {
-            values.insert(values.end(), run, run + count);
-          });
-      !s.ok()) {
-    return s;
-  }
-  return TimeSeries(selection->start_timestamp, interval_, std::move(values));
+  return TimeSeries(sel.start_timestamp, interval_, std::move(values));
 }
 
 Result<TimeSeries> StoreReader::ReadAll(int jobs) const {

@@ -2,7 +2,6 @@
 #define LOSSYTS_STORE_READER_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -36,10 +35,9 @@ namespace lossyts::store {
 /// entries so a long-lived process (the serve daemon) cannot grow a reader
 /// without limit. Point reads on model chunks (PMC/Swing)
 /// walk the segment list without materializing the chunk; on Gorilla/Chimp
-/// chunks they early-stop via DecompressPrefix. Range reads go through
-/// DecodeSelection, which fans the chunk decodes out on core/thread_pool and
-/// hands the runs over in chunk order, so the result is byte-identical for
-/// every jobs value.
+/// chunks they early-stop via DecompressPrefix. ReadRange fans the chunk
+/// decodes out on core/thread_pool and appends the selected runs in chunk
+/// order, so the result is byte-identical for every jobs value.
 ///
 /// Thread-safe: all read methods may be called concurrently.
 class StoreReader {
@@ -87,18 +85,6 @@ class StoreReader {
     int64_t start_timestamp = 0;
   };
   Result<Selection> Select(int64_t t0, int64_t t1) const;
-
-  /// Receives one chunk's selected run: `count` values, in time order.
-  using RunSink = std::function<void(const double* values, size_t count)>;
-
-  /// Decodes every chunk `sel` spans on `jobs` threads, then hands each
-  /// chunk's selected run to `sink`, in time order. If a decode fails,
-  /// nothing is handed over and the first failure in chunk order is
-  /// returned. An empty selection decodes nothing. ReadRange is this plus an
-  /// append; callers that only need part of the values (or need them in
-  /// another buffer) take the runs directly.
-  Status DecodeSelection(const Selection& sel, int jobs,
-                         const RunSink& sink) const;
 
   /// Decoded values of chunk `index`, via the cache (decode-once per chunk
   /// unless ClearChunkCache intervenes): DecodeChunk on a miss.
