@@ -165,8 +165,7 @@ void Daemon::ServeConnection(int fd) {
                     Status::InvalidArgument(
                         "reply is " + std::to_string(encoded.size()) +
                         " bytes; a frame carries at most " +
-                        std::to_string(kMaxFramePayload) +
-                        " (read a shorter range)"),
+                        std::to_string(kMaxFramePayload)),
                     options_.retry_after_ms));
     }
     Status written = WriteFrame(fd, encoded, options_.client_timeout_ms);
