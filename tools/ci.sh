@@ -306,6 +306,24 @@ seam_guard() {
   echo "seam_guard: every file write in src/ goes through core/durable_file"
 }
 
+# One CRC frame, plain leg only: the chunk store, the WAL and the serve
+# protocol name their frame magics in a compress::FrameFormat, and only
+# compress::PutFrame writes a magic and only compress::ParseFrameHeader
+# compares one. A line in src/ that writes (PutU32) or compares (== / !=)
+# kFrameMagic, kWalRecordMagic or kChunkMagic is a fourth copy of the frame.
+frame_guard() {
+  local magics='(kFrameMagic|kWalRecordMagic|kChunkMagic)'
+  local hits
+  hits="$(grep -rnE "PutU32\(${magics}\)|(==|!=)[[:space:]]*${magics}\b|\b${magics}[[:space:]]*(==|!=)" \
+    "${ROOT}/src" || true)"
+  if [[ -n "${hits}" ]]; then
+    echo "frame_guard: a frame magic written or compared outside the frame helper:"
+    echo "${hits}"
+    return 1
+  fi
+  echo "frame_guard: every frame in src/ goes through compress::PutFrame/ParseFrame"
+}
+
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
@@ -315,7 +333,10 @@ run_config() {
   local cxx_flags=""
   if [[ -z "${sanitize}" ]]; then cxx_flags="-Werror"; fi
   echo "=== ${name} (LOSSYTS_SANITIZE='${sanitize}') ==="
-  if [[ -z "${sanitize}" ]]; then seam_guard; fi
+  if [[ -z "${sanitize}" ]]; then
+    seam_guard
+    frame_guard
+  fi
   cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLOSSYTS_SANITIZE="${sanitize}" -DCMAKE_CXX_FLAGS="${cxx_flags}"
   cmake --build "${dir}" -j "${JOBS}"
