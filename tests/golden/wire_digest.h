@@ -19,8 +19,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -184,7 +184,7 @@ inline Result<std::vector<uint8_t>> FrameBytes(
   ::close(fds[0]);
   std::vector<uint8_t> frame;
   uint8_t buffer[4096];
-  ssize_t n;
+  ssize_t n = 0;
   while ((n = ::recv(fds[1], buffer, sizeof(buffer), 0)) > 0) {
     frame.insert(frame.end(), buffer, buffer + n);
   }
