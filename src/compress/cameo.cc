@@ -256,7 +256,7 @@ Result<std::vector<uint8_t>> CameoCompressor::Compress(
 }
 
 Result<TimeSeries> CameoCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kCameo);
   if (!header.ok()) return header.status();

@@ -118,8 +118,7 @@ namespace {
 // Shared decode core: reconstructs the first min(limit, num_points) values,
 // mirroring gorilla.cc's DecodeGorilla — the early-stop path is the same
 // sequential walk, just cut short.
-Result<TimeSeries> DecodeChimp(const std::vector<uint8_t>& blob,
-                               size_t limit) {
+Result<TimeSeries> DecodeChimp(std::span<const uint8_t> blob, size_t limit) {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kChimp);
   if (!header.ok()) return header.status();
@@ -128,7 +127,7 @@ Result<TimeSeries> DecodeChimp(const std::vector<uint8_t>& blob,
   if (*payload_size > reader.remaining()) {
     return Status::Corruption("Chimp payload truncated");
   }
-  zip::BitReader bits(reader.current(), *payload_size);
+  zip::BitReader bits({reader.current(), *payload_size});
   if (header->num_points == 0) {
     return Status::Corruption("Chimp blob with zero points");
   }
@@ -243,12 +242,12 @@ Result<TimeSeries> DecodeChimp(const std::vector<uint8_t>& blob,
 }  // namespace
 
 Result<TimeSeries> ChimpCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   return DecodeChimp(blob, std::numeric_limits<size_t>::max());
 }
 
 Result<TimeSeries> ChimpCompressor::DecompressPrefix(
-    const std::vector<uint8_t>& blob, size_t max_points) const {
+    std::span<const uint8_t> blob, size_t max_points) const {
   if (max_points == 0) {
     return Status::InvalidArgument("prefix decode requires max_points >= 1");
   }

@@ -26,12 +26,11 @@ class ChimpCompressor : public Compressor {
 
   Result<std::vector<uint8_t>> Compress(const TimeSeries& series,
                                         double error_bound) const override;
-  Result<TimeSeries> Decompress(
-      const std::vector<uint8_t>& blob) const override;
+  Result<TimeSeries> Decompress(std::span<const uint8_t> blob) const override;
 
   /// Decodes only the first min(max_points, total) values; see
   /// GorillaCompressor::DecompressPrefix for the contract.
-  Result<TimeSeries> DecompressPrefix(const std::vector<uint8_t>& blob,
+  Result<TimeSeries> DecompressPrefix(std::span<const uint8_t> blob,
                                       size_t max_points) const;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +42,7 @@ class Compressor {
 
   /// Reconstructs the series from a blob produced by Compress.
   virtual Result<TimeSeries> Decompress(
-      const std::vector<uint8_t>& blob) const = 0;
+      std::span<const uint8_t> blob) const = 0;
 };
 
 /// Algorithm tags stored as the first header byte of every blob so that a

@@ -95,8 +95,7 @@ namespace {
 // The XOR chain has no random access, so both the full decode and the
 // early-stop prefix path walk it identically and differ only in where they
 // stop — which is what keeps the two bit-identical.
-Result<TimeSeries> DecodeGorilla(const std::vector<uint8_t>& blob,
-                                 size_t limit) {
+Result<TimeSeries> DecodeGorilla(std::span<const uint8_t> blob, size_t limit) {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kGorilla);
   if (!header.ok()) return header.status();
@@ -105,7 +104,7 @@ Result<TimeSeries> DecodeGorilla(const std::vector<uint8_t>& blob,
   if (*payload_size > reader.remaining()) {
     return Status::Corruption("Gorilla payload truncated");
   }
-  zip::BitReader bits(reader.current(), *payload_size);
+  zip::BitReader bits({reader.current(), *payload_size});
 
   if (header->num_points == 0) {
     return Status::Corruption("Gorilla blob with zero points");
@@ -158,12 +157,12 @@ Result<TimeSeries> DecodeGorilla(const std::vector<uint8_t>& blob,
 }  // namespace
 
 Result<TimeSeries> GorillaCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   return DecodeGorilla(blob, std::numeric_limits<size_t>::max());
 }
 
 Result<TimeSeries> GorillaCompressor::DecompressPrefix(
-    const std::vector<uint8_t>& blob, size_t max_points) const {
+    std::span<const uint8_t> blob, size_t max_points) const {
   if (max_points == 0) {
     return Status::InvalidArgument("prefix decode requires max_points >= 1");
   }

@@ -23,15 +23,14 @@ class GorillaCompressor : public Compressor {
 
   Result<std::vector<uint8_t>> Compress(const TimeSeries& series,
                                         double error_bound) const override;
-  Result<TimeSeries> Decompress(
-      const std::vector<uint8_t>& blob) const override;
+  Result<TimeSeries> Decompress(std::span<const uint8_t> blob) const override;
 
   /// Decodes only the first min(max_points, total) values and stops reading
   /// the bit stream there — the XOR chain is strictly sequential, so a point
   /// read in the middle of a chunk costs a prefix, not a full decode. The
   /// prefix is bit-identical to the same slice of a full Decompress.
   /// max_points must be >= 1.
-  Result<TimeSeries> DecompressPrefix(const std::vector<uint8_t>& blob,
+  Result<TimeSeries> DecompressPrefix(std::span<const uint8_t> blob,
                                       size_t max_points) const;
 };
 

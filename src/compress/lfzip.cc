@@ -196,7 +196,7 @@ Result<std::vector<uint8_t>> LfzipCompressor::Compress(
 }
 
 Result<TimeSeries> LfzipCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kLfzip);
   if (!header.ok()) return header.status();

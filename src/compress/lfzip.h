@@ -42,8 +42,7 @@ class LfzipCompressor : public Compressor {
 
   Result<std::vector<uint8_t>> Compress(const TimeSeries& series,
                                         double error_bound) const override;
-  Result<TimeSeries> Decompress(
-      const std::vector<uint8_t>& blob) const override;
+  Result<TimeSeries> Decompress(std::span<const uint8_t> blob) const override;
 
  private:
   Options options_;

@@ -180,7 +180,7 @@ Result<PipelineResult> RunPipeline(const Compressor& compressor,
   return result;
 }
 
-Result<TimeSeries> DecompressAny(const std::vector<uint8_t>& blob) {
+Result<TimeSeries> DecompressAny(std::span<const uint8_t> blob) {
   if (blob.empty()) return Status::Corruption("empty blob");
   switch (static_cast<AlgorithmId>(blob[0])) {
     case AlgorithmId::kPmc:

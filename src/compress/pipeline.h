@@ -2,6 +2,7 @@
 #define LOSSYTS_COMPRESS_PIPELINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,7 @@ size_t CountConstantRuns(const TimeSeries& series);
 /// Decompresses any blob produced by this library's codecs by dispatching
 /// on the algorithm-id byte in the shared header. The entry point for tools
 /// that receive opaque compressed files.
-Result<TimeSeries> DecompressAny(const std::vector<uint8_t>& blob);
+Result<TimeSeries> DecompressAny(std::span<const uint8_t> blob);
 
 /// Creates a compressor by name. Recognized names: the paper's three PEBLC
 /// methods ("PMC", "SWING", "SZ"), the lossless baselines ("GORILLA",

@@ -28,7 +28,7 @@ Result<std::vector<uint8_t>> PmcCompressor::Compress(
 }
 
 Result<TimeSeries> PmcCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kPmc);
   if (!header.ok()) return header.status();

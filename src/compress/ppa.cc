@@ -229,7 +229,7 @@ Result<std::vector<uint8_t>> PpaCompressor::Compress(
 }
 
 Result<TimeSeries> PpaCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kPpa);
   if (!header.ok()) return header.status();

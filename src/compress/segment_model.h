@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -368,7 +369,7 @@ Status ForEachSegment(ByteReader& reader, const BlobHeader& header,
 /// InvalidArgument for a blob of any other algorithm; Corruption for an
 /// empty or malformed blob.
 template <typename Visit>
-Result<BlobHeader> ParseSegments(const std::vector<uint8_t>& blob,
+Result<BlobHeader> ParseSegments(std::span<const uint8_t> blob,
                                  Visit&& visit) {
   if (blob.empty()) return Status::Corruption("empty blob has no segments");
   const auto algorithm = static_cast<AlgorithmId>(blob[0]);

@@ -17,13 +17,13 @@ Status PutFrame(ByteWriter& writer, const FrameFormat& format,
   writer.PutU32(format.magic);
   writer.PutU32(static_cast<uint32_t>(payload.size()));
   writer.PutBytes(payload);
-  writer.PutU32(zip::ComputeCrc32(payload.data(), payload.size()));
+  writer.PutU32(zip::ComputeCrc32(payload));
   return Status::OK();
 }
 
 Result<uint32_t> ParseFrameHeader(std::span<const uint8_t> bytes,
                                   const FrameFormat& format) {
-  ByteReader header(bytes.data(), bytes.size());
+  ByteReader header(bytes);
   Result<uint32_t> magic = header.GetU32();
   if (!magic.ok()) return magic.status();
   if (*magic != format.magic) {
@@ -48,8 +48,8 @@ Result<FrameView> ParseFrame(std::span<const uint8_t> bytes,
   }
   const std::span<const uint8_t> payload =
       bytes.subspan(kFrameHeaderSize, *size);
-  ByteReader tail(bytes.data() + kFrameHeaderSize + *size, 4);
-  if (*tail.GetU32() != zip::ComputeCrc32(payload.data(), payload.size())) {
+  ByteReader tail(bytes.subspan(kFrameHeaderSize + *size, 4));
+  if (*tail.GetU32() != zip::ComputeCrc32(payload)) {
     return Status::Corruption(std::string(format.name) +
                               " checksum mismatch");
   }

@@ -66,9 +66,8 @@ inline Status PutCountU32(ByteWriter& writer, size_t count,
 /// Corruption past the end so malformed blobs never crash decompression.
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& bytes)
+  explicit ByteReader(std::span<const uint8_t> bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Result<uint8_t> GetU8() {
     if (pos_ + 1 > size_) return Eof();

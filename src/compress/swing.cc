@@ -35,7 +35,7 @@ Result<std::vector<uint8_t>> SwingCompressor::Compress(
 }
 
 Result<TimeSeries> SwingCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kSwing);
   if (!header.ok()) return header.status();

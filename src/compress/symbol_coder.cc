@@ -129,7 +129,7 @@ Result<std::vector<int>> ReadSymbols(ByteReader& reader, uint32_t count,
     return Status::Corruption(std::string(codec) +
                               " Huffman payload truncated");
   }
-  zip::BitReader bits(reader.current(), *payload_size);
+  zip::BitReader bits({reader.current(), *payload_size});
   if (Status s = reader.Skip(*payload_size); !s.ok()) return s;
   symbols.resize(count);
   if (Status s = decoder.DecodeMany(bits, symbols.data(), count); !s.ok()) {

@@ -253,7 +253,7 @@ Result<std::vector<uint8_t>> SzCompressor::Compress(
 }
 
 Result<TimeSeries> SzCompressor::Decompress(
-    const std::vector<uint8_t>& blob) const {
+    std::span<const uint8_t> blob) const {
   ByteReader reader(blob);
   Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kSz);
   if (!header.ok()) return header.status();

@@ -23,7 +23,7 @@ constexpr size_t kPointCountOffset = 7;
 constexpr size_t kHeaderSize = 11;
 constexpr size_t kFirstPayloadCountOffset = 11;
 
-uint32_t ReadU32LE(const std::vector<uint8_t>& blob, size_t offset) {
+uint32_t ReadU32LE(std::span<const uint8_t> blob, size_t offset) {
   uint32_t v = 0;
   std::memcpy(&v, blob.data() + offset, sizeof(v));
   return v;
@@ -44,7 +44,7 @@ std::string Hex(uint64_t v) {
   return buffer;
 }
 
-void AddTruncations(const std::vector<uint8_t>& blob,
+void AddTruncations(std::span<const uint8_t> blob,
                     std::vector<Mutant>& out) {
   const size_t candidates[] = {0,  1,  5,          10,
                                11, 15, blob.size() / 2,
@@ -59,20 +59,20 @@ void AddTruncations(const std::vector<uint8_t>& blob,
   }
 }
 
-void AddHeaderBitFlips(const std::vector<uint8_t>& blob,
+void AddHeaderBitFlips(std::span<const uint8_t> blob,
                        std::vector<Mutant>& out) {
   const size_t limit = std::min(blob.size(), kHeaderSize);
   for (size_t byte = 0; byte < limit; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       Mutant m{"bit-flip@" + std::to_string(byte) + "." + std::to_string(bit),
-               blob};
+               {blob.begin(), blob.end()}};
       m.blob[byte] ^= static_cast<uint8_t>(1u << bit);
       out.push_back(std::move(m));
     }
   }
 }
 
-void AddCountSplices(const std::vector<uint8_t>& blob, size_t offset,
+void AddCountSplices(std::span<const uint8_t> blob, size_t offset,
                      const char* what, std::vector<Mutant>& out) {
   if (blob.size() < offset + 4) return;
   const uint32_t old = ReadU32LE(blob, offset);
@@ -80,13 +80,13 @@ void AddCountSplices(const std::vector<uint8_t>& blob, size_t offset,
                              old * 2u, 0x7FFFFFFFu, 0xFFFFFFFFu};
   for (const uint32_t v : values) {
     if (v == old) continue;
-    Mutant m{std::string(what) + "=" + Hex(v), blob};
+    Mutant m{std::string(what) + "=" + Hex(v), {blob.begin(), blob.end()}};
     WriteU32LE(m.blob, offset, v);
     out.push_back(std::move(m));
   }
 }
 
-void AddSegmentLengthSplices(const std::vector<uint8_t>& blob,
+void AddSegmentLengthSplices(std::span<const uint8_t> blob,
                              std::vector<Mutant>& out) {
   // First u16 inside the first payload record: the segment length for the
   // length-prefixed codecs (PMC/Swing), arbitrary payload bytes for the rest
@@ -94,13 +94,13 @@ void AddSegmentLengthSplices(const std::vector<uint8_t>& blob,
   const size_t offset = kFirstPayloadCountOffset + 4;
   if (blob.size() < offset + 2) return;
   for (const uint16_t v : {uint16_t{0}, uint16_t{0xFFFF}}) {
-    Mutant m{"seg-len=" + Hex(v), blob};
+    Mutant m{"seg-len=" + Hex(v), {blob.begin(), blob.end()}};
     WriteU16LE(m.blob, offset, v);
     out.push_back(std::move(m));
   }
 }
 
-void AddRandomMutations(const std::vector<uint8_t>& blob, uint64_t seed,
+void AddRandomMutations(std::span<const uint8_t> blob, uint64_t seed,
                         int count, std::vector<Mutant>& out) {
   if (blob.empty()) return;
   Rng rng(seed);
@@ -110,14 +110,14 @@ void AddRandomMutations(const std::vector<uint8_t>& blob, uint64_t seed,
       const int bit = static_cast<int>(rng.UniformInt(8));
       Mutant m{"rand-flip#" + std::to_string(i) + "@" + std::to_string(byte) +
                    "." + std::to_string(bit),
-               blob};
+               {blob.begin(), blob.end()}};
       m.blob[byte] ^= static_cast<uint8_t>(1u << bit);
       out.push_back(std::move(m));
     } else {
       const uint8_t v = static_cast<uint8_t>(rng.UniformInt(256));
       Mutant m{"rand-byte#" + std::to_string(i) + "@" + std::to_string(byte) +
                    "=" + Hex(v),
-               blob};
+               {blob.begin(), blob.end()}};
       m.blob[byte] = v;
       out.push_back(std::move(m));
     }
@@ -126,7 +126,7 @@ void AddRandomMutations(const std::vector<uint8_t>& blob, uint64_t seed,
 
 }  // namespace
 
-std::vector<Mutant> GenerateMutants(const std::vector<uint8_t>& blob,
+std::vector<Mutant> GenerateMutants(std::span<const uint8_t> blob,
                                     uint64_t seed, int random_bit_flips) {
   std::vector<Mutant> out;
   AddTruncations(blob, out);
@@ -166,7 +166,7 @@ void WriteU64LE(std::vector<uint8_t>& blob, size_t offset, uint64_t v) {
   std::memcpy(blob.data() + offset, &v, sizeof(v));
 }
 
-void AddBitFlipRange(const std::vector<uint8_t>& image, size_t begin,
+void AddBitFlipRange(std::span<const uint8_t> image, size_t begin,
                      size_t count, const char* what,
                      std::vector<Mutant>& out) {
   const size_t end = std::min(image.size(), begin + count);
@@ -174,14 +174,14 @@ void AddBitFlipRange(const std::vector<uint8_t>& image, size_t begin,
     for (int bit = 0; bit < 8; ++bit) {
       Mutant m{std::string(what) + "-flip@" + std::to_string(byte) + "." +
                    std::to_string(bit),
-               image};
+               {image.begin(), image.end()}};
       m.blob[byte] ^= static_cast<uint8_t>(1u << bit);
       out.push_back(std::move(m));
     }
   }
 }
 
-void AddStoreTruncation(const std::vector<uint8_t>& image, size_t at,
+void AddStoreTruncation(std::span<const uint8_t> image, size_t at,
                         std::vector<Mutant>& out) {
   if (at >= image.size()) return;
   for (const Mutant& existing : out) {
@@ -195,7 +195,7 @@ void AddStoreTruncation(const std::vector<uint8_t>& image, size_t at,
                                       image.begin() + static_cast<long>(at))});
 }
 
-void AddU32Splices(const std::vector<uint8_t>& image, size_t offset,
+void AddU32Splices(std::span<const uint8_t> image, size_t offset,
                    const char* what, std::vector<Mutant>& out) {
   if (image.size() < offset + 4) return;
   const uint32_t old = ReadU32LE(image, offset);
@@ -203,7 +203,7 @@ void AddU32Splices(const std::vector<uint8_t>& image, size_t offset,
                              old * 2u, 0x7FFFFFFFu, 0xFFFFFFFFu};
   for (const uint32_t v : values) {
     if (v == old) continue;
-    Mutant m{std::string(what) + "=" + Hex(v), image};
+    Mutant m{std::string(what) + "=" + Hex(v), {image.begin(), image.end()}};
     WriteU32LE(m.blob, offset, v);
     out.push_back(std::move(m));
   }
@@ -219,7 +219,7 @@ bool AggregatesAgree(double pushdown, double decode) {
 
 }  // namespace
 
-std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
+std::vector<Mutant> GenerateStoreMutants(std::span<const uint8_t> image,
                                          uint64_t seed,
                                          int random_bit_flips) {
   std::vector<Mutant> out;
@@ -227,7 +227,7 @@ std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
   // Structural offsets, recovered by opening the (valid) input image. If it
   // does not open, only the structure-blind mutations apply.
   Result<std::unique_ptr<store::StoreReader>> opened =
-      store::StoreReader::OpenBytes(image);
+      store::StoreReader::OpenBytes({image.begin(), image.end()});
   if (opened.ok()) {
     const store::StoreReader& reader = **opened;
     uint64_t index_offset = image.size();
@@ -283,7 +283,7 @@ std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
       for (const uint64_t v :
            {uint64_t{0}, uint64_t{1}, static_cast<uint64_t>(image.size()),
             static_cast<uint64_t>(image.size()) * 2, ~uint64_t{0}}) {
-        Mutant m{"footer-offset=" + Hex(v), image};
+        Mutant m{"footer-offset=" + Hex(v), {image.begin(), image.end()}};
         WriteU64LE(m.blob, footer + 4, v);
         out.push_back(std::move(m));
       }
@@ -297,7 +297,7 @@ std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
   return out;
 }
 
-std::vector<Mutant> GenerateWalMutants(const std::vector<uint8_t>& image,
+std::vector<Mutant> GenerateWalMutants(std::span<const uint8_t> image,
                                        uint64_t seed, int random_bit_flips) {
   std::vector<Mutant> out;
 

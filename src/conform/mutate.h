@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ struct Mutant {
 ///  - u16 splice of the first segment-length field,
 ///  - `random_bit_flips` seeded random bit flips and byte splices anywhere.
 /// Deterministic in (blob, seed, random_bit_flips).
-std::vector<Mutant> GenerateMutants(const std::vector<uint8_t>& blob,
+std::vector<Mutant> GenerateMutants(std::span<const uint8_t> blob,
                                     uint64_t seed, int random_bit_flips);
 
 /// Feeds one mutant to `codec.Decompress`. The decoder contract: it may
@@ -48,7 +49,7 @@ std::optional<OracleFailure> CheckMutantDecode(
 ///  - `random_bit_flips` seeded random bit flips and byte splices anywhere.
 /// The image should be a valid store file; deterministic in
 /// (image, seed, random_bit_flips).
-std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
+std::vector<Mutant> GenerateStoreMutants(std::span<const uint8_t> image,
                                          uint64_t seed, int random_bit_flips);
 
 /// Opens one mutated store image and, when the open succeeds, drills its
@@ -70,7 +71,7 @@ std::optional<OracleFailure> CheckStoreMutant(const Mutant& mutant);
 ///  - `random_bit_flips` seeded random bit flips and byte splices anywhere.
 /// The image should be a valid WAL; deterministic in
 /// (image, seed, random_bit_flips).
-std::vector<Mutant> GenerateWalMutants(const std::vector<uint8_t>& image,
+std::vector<Mutant> GenerateWalMutants(std::span<const uint8_t> image,
                                        uint64_t seed, int random_bit_flips);
 
 /// Replays one mutated WAL image. The replay contract: Corruption passes

@@ -19,9 +19,10 @@ constexpr char kCompleteFooter[] = "#complete";
 
 std::string RowCrcHex(const std::string& row) {
   char hex[9];
-  std::snprintf(hex, sizeof(hex), "%08x",
-                zip::ComputeCrc32(
-                    reinterpret_cast<const uint8_t*>(row.data()), row.size()));
+  std::snprintf(
+      hex, sizeof(hex), "%08x",
+      zip::ComputeCrc32(
+          {reinterpret_cast<const uint8_t*>(row.data()), row.size()}));
   return hex;
 }
 
@@ -66,8 +67,8 @@ bool ParseLine(const std::string& line, size_t metric_arity,
   const unsigned long crc = std::strtoul(hex.c_str(), &end, 16);
   if (end != hex.c_str() + 8) return false;
   const std::string row = line.substr(9);
-  if (zip::ComputeCrc32(reinterpret_cast<const uint8_t*>(row.data()),
-                        row.size()) != static_cast<uint32_t>(crc)) {
+  if (zip::ComputeCrc32({reinterpret_cast<const uint8_t*>(row.data()),
+                         row.size()}) != static_cast<uint32_t>(crc)) {
     return false;
   }
   Result<GridRecord> record = ParseGridRow(row);
@@ -129,8 +130,8 @@ uint32_t GridOptionsHash(const GridOptions& options) {
       repr += "|metrics=" + JoinMetricNames(names);
     }
   }
-  return zip::ComputeCrc32(reinterpret_cast<const uint8_t*>(repr.data()),
-                           repr.size());
+  return zip::ComputeCrc32(
+      {reinterpret_cast<const uint8_t*>(repr.data()), repr.size()});
 }
 
 Result<GridCheckpoint> LoadGridCheckpoint(

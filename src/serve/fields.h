@@ -82,7 +82,7 @@ class FieldWriter {
 class FieldReader {
  public:
   explicit FieldReader(std::span<const uint8_t> bytes)
-      : reader_(bytes.data(), bytes.size()) {}
+      : reader_(bytes) {}
 
   void Field(uint8_t& v) { Get(&compress::ByteReader::GetU8, v); }
   void Field(int32_t& v) { Get(&compress::ByteReader::GetI32, v); }

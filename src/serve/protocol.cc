@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "compress/serde.h"
@@ -247,7 +248,7 @@ std::vector<uint8_t> EncodeRequest(const Request& request) {
   return writer.Finish();
 }
 
-Result<Request> DecodeRequest(const std::vector<uint8_t>& payload) {
+Result<Request> DecodeRequest(std::span<const uint8_t> payload) {
   FieldReader reader(payload);
   uint8_t type = 0;
   reader.Field(type);
@@ -269,8 +270,7 @@ std::vector<uint8_t> EncodeReply(RequestType type, const Reply& reply) {
   return writer.Finish();
 }
 
-Result<Reply> DecodeReply(RequestType type,
-                          const std::vector<uint8_t>& payload) {
+Result<Reply> DecodeReply(RequestType type, std::span<const uint8_t> payload) {
   FieldReader reader(payload);
   uint8_t kind = 0;
   reader.Field(kind);
@@ -339,11 +339,12 @@ Status PollFor(int fd, short events, int timeout_ms) {
   }
 }
 
-Status SendAll(int fd, const uint8_t* data, size_t size, int timeout_ms) {
+Status SendAll(int fd, std::span<const uint8_t> bytes, int timeout_ms) {
   size_t sent = 0;
-  while (sent < size) {
+  while (sent < bytes.size()) {
     if (Status s = PollFor(fd, POLLOUT, timeout_ms); !s.ok()) return s;
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return Status::IoError(std::string("socket send failed: ") +
@@ -381,8 +382,7 @@ Status RecvAll(int fd, uint8_t* data, size_t size, int timeout_ms,
 
 }  // namespace
 
-Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
-                  int timeout_ms) {
+Status WriteFrame(int fd, std::span<const uint8_t> payload, int timeout_ms) {
   compress::ByteWriter writer;
   if (Status s = compress::PutFrame(writer, kWireFrame, payload); !s.ok()) {
     return s;
@@ -393,10 +393,10 @@ Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
   // the peer must treat the torn frame as a dead connection, never as data.
   Status crash = FailPoints::Hit("socket_write");
   if (!crash.ok()) {
-    SendAll(fd, frame.data(), frame.size() / 2, timeout_ms);
+    SendAll(fd, std::span(frame).first(frame.size() / 2), timeout_ms);
     return crash;
   }
-  return SendAll(fd, frame.data(), frame.size(), timeout_ms);
+  return SendAll(fd, frame, timeout_ms);
 }
 
 Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms) {

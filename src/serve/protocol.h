@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,13 +129,12 @@ Status ValidateRequest(const Request& request);
 /// an empty payload, which DecodeRequest rejects, never as a truncated
 /// string.
 std::vector<uint8_t> EncodeRequest(const Request& request);
-Result<Request> DecodeRequest(const std::vector<uint8_t>& payload);
+Result<Request> DecodeRequest(std::span<const uint8_t> payload);
 
 /// Reply encoding is positional on the request type (the payload layout of
 /// kOk differs per request), so both sides pass the type they exchanged.
 std::vector<uint8_t> EncodeReply(RequestType type, const Reply& reply);
-Result<Reply> DecodeReply(RequestType type,
-                          const std::vector<uint8_t>& payload);
+Result<Reply> DecodeReply(RequestType type, std::span<const uint8_t> payload);
 
 /// Builds a kError (or kRetry for kUnavailable) reply from a Status.
 Reply ReplyFromStatus(const Status& status, uint32_t retry_after_ms);
@@ -148,8 +148,7 @@ Status StatusFromReply(const Reply& reply);
 /// the frame is sent and the error returns, modelling a daemon killed
 /// mid-reply. Unavailable on timeout; InvalidArgument, before a byte is
 /// sent, when the payload is over kMaxFramePayload.
-Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
-                  int timeout_ms);
+Status WriteFrame(int fd, std::span<const uint8_t> payload, int timeout_ms);
 
 /// Reads one frame (same timeout discipline). NotFound on a clean EOF at a
 /// frame boundary (the peer hung up between requests); Corruption on a torn

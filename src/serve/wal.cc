@@ -19,7 +19,7 @@ std::vector<uint8_t> EncodeWalHeader() {
   writer.PutU32(kWalMagic);
   writer.PutU8(kWalVersion);
   const uint8_t version = kWalVersion;
-  writer.PutU32(zip::ComputeCrc32(&version, 1));
+  writer.PutU32(zip::ComputeCrc32({&version, 1}));
   return writer.Finish();
 }
 
@@ -70,7 +70,7 @@ Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record) {
   return frame.Finish();
 }
 
-Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
+Result<WalReplay> ReplayWalBytes(std::span<const uint8_t> bytes) {
   compress::ByteReader reader(bytes);
   Result<uint32_t> magic = reader.GetU32();
   if (!magic.ok() || *magic != kWalMagic) {
@@ -85,15 +85,15 @@ Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
   Result<uint32_t> crc = reader.GetU32();
   if (!crc.ok()) return crc.status();
   const uint8_t v = *version;
-  if (*crc != zip::ComputeCrc32(&v, 1)) {
+  if (*crc != zip::ComputeCrc32({&v, 1})) {
     return Status::Corruption("wal header checksum mismatch");
   }
 
   WalReplay replay;
   size_t pos = kWalHeaderSize;
   while (pos < bytes.size()) {
-    Result<compress::FrameView> frame = compress::ParseFrame(
-        std::span(bytes).subspan(pos), kWalRecordFrame);
+    Result<compress::FrameView> frame =
+        compress::ParseFrame(bytes.subspan(pos), kWalRecordFrame);
     if (!frame.ok()) break;
     Result<WalRecord> record = DecodeWalPayload(frame->payload);
     if (!record.ok()) break;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,7 @@ struct WalReplay {
 /// Salvage-scans a log image. Corruption only when the header itself is
 /// unreadable (an empty or alien file); torn or corrupt records merely end
 /// the valid prefix.
-Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes);
+Result<WalReplay> ReplayWalBytes(std::span<const uint8_t> bytes);
 
 /// ReplayWalBytes over a file. NotFound when the file does not exist.
 Result<WalReplay> ReplayWalFile(const std::string& path);

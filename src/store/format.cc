@@ -17,7 +17,7 @@ void WriteStoreHeader(const StoreHeader& header, compress::ByteWriter& writer) {
   std::vector<uint8_t> bytes = body.Finish();
   writer.PutU32(kFileMagic);
   writer.PutBytes(bytes);
-  writer.PutU32(zip::ComputeCrc32(bytes.data(), bytes.size()));
+  writer.PutU32(zip::ComputeCrc32(bytes));
 }
 
 Result<StoreHeader> ReadStoreHeader(compress::ByteReader& reader) {
@@ -65,7 +65,7 @@ Result<StoreHeader> ReadStoreHeader(compress::ByteReader& reader) {
   const size_t body_size = reader.position() - body_start;
   Result<uint32_t> crc = reader.GetU32();
   if (!crc.ok()) return crc.status();
-  if (*crc != zip::ComputeCrc32(body_ptr, body_size)) {
+  if (*crc != zip::ComputeCrc32({body_ptr, body_size})) {
     return Status::Corruption("store header checksum mismatch");
   }
   return header;

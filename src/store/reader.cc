@@ -44,13 +44,12 @@ Result<ChunkInfo> StoreReader::ParseFrameAt(size_t offset,
   Result<compress::FrameView> frame = compress::ParseFrame(
       std::span(bytes_).subspan(offset, strict_end - offset), kChunkFrame);
   if (!frame.ok()) return frame.status();
-  const uint8_t* payload = frame->payload.data();
-  const uint32_t payload_size = static_cast<uint32_t>(frame->payload.size());
+  const std::span<const uint8_t> payload = frame->payload;
 
   if (!KnownAlgorithm(payload[0])) {
     return Status::Corruption("chunk blob has an unknown algorithm id");
   }
-  compress::ByteReader blob(payload, payload_size);
+  compress::ByteReader blob(payload);
   Result<compress::BlobHeader> header = compress::ReadHeader(
       blob, static_cast<compress::AlgorithmId>(payload[0]));
   if (!header.ok()) return header.status();
@@ -69,7 +68,7 @@ Result<ChunkInfo> StoreReader::ParseFrameAt(size_t offset,
   info.first_timestamp = header->first_timestamp;
   info.num_points = header->num_points;
   info.algorithm = header->algorithm;
-  info.payload_size = payload_size;
+  info.payload_size = static_cast<uint32_t>(payload.size());
   info.interval_seconds = header->interval_seconds;
   return info;
 }
@@ -87,15 +86,14 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
   uint64_t index_offset = 0;
   uint32_t footer_chunks = 0;
   if (bytes_.size() >= data_begin + kFooterSize) {
-    compress::ByteReader footer(bytes_.data() + (bytes_.size() - kFooterSize),
-                                kFooterSize);
+    const std::span<const uint8_t> tail = std::span(bytes_).last(kFooterSize);
+    compress::ByteReader footer(tail);
     Result<uint32_t> magic = footer.GetU32();
-    const uint8_t* body = footer.current();
     Result<uint64_t> off = footer.GetU64();
     Result<uint32_t> count = footer.GetU32();
     Result<uint32_t> crc = footer.GetU32();
     if (magic.ok() && *magic == kFooterMagic && off.ok() && count.ok() &&
-        crc.ok() && *crc == zip::ComputeCrc32(body, 12)) {
+        crc.ok() && *crc == zip::ComputeCrc32(tail.subspan(4, 12))) {
       footer_valid = true;
       index_offset = *off;
       footer_chunks = *count;
@@ -109,8 +107,9 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
         index_offset > bytes_.size() - kFooterSize) {
       return Status::Corruption("store footer points outside the file");
     }
-    compress::ByteReader index(bytes_.data() + index_offset,
-                               bytes_.size() - kFooterSize - index_offset);
+    const std::span<const uint8_t> index_bytes = std::span(bytes_).subspan(
+        index_offset, bytes_.size() - kFooterSize - index_offset);
+    compress::ByteReader index(index_bytes);
     Result<uint32_t> magic = index.GetU32();
     if (!magic.ok()) return magic.status();
     if (*magic != kIndexMagic) {
@@ -150,7 +149,7 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
     }
     Result<uint32_t> crc = index.GetU32();
     if (!crc.ok()) return crc.status();
-    if (*crc != zip::ComputeCrc32(entries_begin, entries_size)) {
+    if (*crc != zip::ComputeCrc32({entries_begin, entries_size})) {
       return Status::Corruption("store index checksum mismatch");
     }
 
@@ -226,11 +225,10 @@ int64_t StoreReader::last_timestamp() const {
          static_cast<int64_t>(total_points_ - 1) * interval_;
 }
 
-std::vector<uint8_t> StoreReader::ChunkPayload(size_t index) const {
+std::span<const uint8_t> StoreReader::ChunkPayload(size_t index) const {
   const ChunkInfo& chunk = chunks_[index];
-  const uint8_t* begin =
-      bytes_.data() + chunk.offset + compress::kFrameHeaderSize;
-  return std::vector<uint8_t>(begin, begin + chunk.payload_size);
+  return std::span(bytes_).subspan(chunk.offset + compress::kFrameHeaderSize,
+                                   chunk.payload_size);
 }
 
 void StoreReader::TouchLocked(std::map<size_t, CacheEntry>::iterator it)
@@ -248,7 +246,7 @@ std::shared_ptr<const std::vector<double>> StoreReader::InsertLocked(
   }
   lru_.push_front(index);
   cache_.emplace(index, CacheEntry{values, lru_.begin()});
-  while (cache_.size() > cache_capacity_) {
+  if (cache_.size() > kChunkCacheCapacity) {
     cache_.erase(lru_.back());
     lru_.pop_back();
   }
@@ -469,20 +467,6 @@ void StoreReader::ClearChunkCache() {
 size_t StoreReader::cached_chunks() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return cache_.size();
-}
-
-size_t StoreReader::chunk_cache_capacity() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache_capacity_;
-}
-
-void StoreReader::SetChunkCacheCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_capacity_ = capacity < 1 ? 1 : capacity;
-  while (cache_.size() > cache_capacity_) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
 }
 
 }  // namespace lossyts::store

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,13 +32,13 @@ namespace lossyts::store {
 ///    distinguish recovered data from a finished ingestion.
 ///
 /// Point and range reads are served through a mutex-guarded decoded-chunk
-/// LRU cache with hit/miss counters, bounded to chunk_cache_capacity()
-/// entries so a long-lived process (the serve daemon) cannot grow a reader
-/// without limit. Point reads on model chunks (PMC/Swing)
-/// walk the segment list without materializing the chunk; on Gorilla/Chimp
-/// chunks they early-stop via DecompressPrefix. ReadRange fans the chunk
-/// decodes out on core/thread_pool and appends the selected runs in chunk
-/// order, so the result is byte-identical for every jobs value.
+/// LRU cache with hit/miss counters, bounded to kChunkCacheCapacity entries
+/// so a long-lived process (the serve daemon) cannot grow a reader without
+/// limit. Point reads on model chunks (PMC/Swing) walk the segment list
+/// without materializing the chunk; on Gorilla/Chimp chunks they early-stop
+/// via DecompressPrefix. ReadRange fans the chunk decodes out on
+/// core/thread_pool and appends the selected runs in chunk order, so the
+/// result is byte-identical for every jobs value.
 ///
 /// Thread-safe: all read methods may be called concurrently.
 class StoreReader {
@@ -96,8 +97,9 @@ class StoreReader {
   /// never come back to a chunk (QueryStoreDir's metric path).
   Result<std::vector<double>> DecodeChunk(size_t index) const;
 
-  /// Copy of chunk `index`'s codec blob (for segment parsing / pushdown).
-  std::vector<uint8_t> ChunkPayload(size_t index) const;
+  /// Chunk `index`'s codec blob, as a view into the file image: no copy,
+  /// valid as long as this reader lives.
+  std::span<const uint8_t> ChunkPayload(size_t index) const;
 
   /// Chunk-cache effectiveness counters (monotone; approximate only in the
   /// sense that two threads racing on the same cold chunk may both count a
@@ -106,15 +108,11 @@ class StoreReader {
   uint64_t cache_misses() const;
   void ClearChunkCache();
 
-  /// Decoded chunks currently cached (always <= chunk_cache_capacity()).
+  /// Decoded chunks currently cached (always <= kChunkCacheCapacity).
   size_t cached_chunks() const;
-  /// LRU bound on the decoded-chunk cache. Defaults to
-  /// kDefaultChunkCacheCapacity; setting a smaller capacity evicts
-  /// least-recently-used entries immediately. Must be >= 1.
-  size_t chunk_cache_capacity() const;
-  void SetChunkCacheCapacity(size_t capacity);
 
-  static constexpr size_t kDefaultChunkCacheCapacity = 64;
+  /// LRU bound on the decoded-chunk cache.
+  static constexpr size_t kChunkCacheCapacity = 64;
 
  private:
   StoreReader() = default;
@@ -141,7 +139,7 @@ class StoreReader {
     std::list<size_t>::iterator lru;
   };
   /// Callers hold cache_mu_. Moves `it` to the recency front / inserts a new
-  /// entry and evicts past the capacity.
+  /// entry and evicts the least recent one past the capacity.
   void TouchLocked(std::map<size_t, CacheEntry>::iterator it) const;
   std::shared_ptr<const std::vector<double>> InsertLocked(
       size_t index, std::shared_ptr<const std::vector<double>> values) const;
@@ -149,7 +147,6 @@ class StoreReader {
   mutable std::mutex cache_mu_;
   mutable std::map<size_t, CacheEntry> cache_;
   mutable std::list<size_t> lru_;  ///< Chunk indices, most recent first.
-  mutable size_t cache_capacity_ = kDefaultChunkCacheCapacity;
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;
 };

@@ -85,7 +85,7 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
   return writer;
 }
 
-Status StoreWriter::WriteAll(const std::vector<uint8_t>& bytes) {
+Status StoreWriter::WriteAll(std::span<const uint8_t> bytes) {
   if (Status s = file_.Append(bytes); !s.ok()) {
     failed_ = true;
     return s;
@@ -252,7 +252,7 @@ Status StoreWriter::Finish() {
     return s;
   }
   tail.PutBytes(entry_bytes);
-  tail.PutU32(zip::ComputeCrc32(entry_bytes.data(), entry_bytes.size()));
+  tail.PutU32(zip::ComputeCrc32(entry_bytes));
 
   compress::ByteWriter footer_body;
   footer_body.PutU64(index_offset);
@@ -260,7 +260,7 @@ Status StoreWriter::Finish() {
   std::vector<uint8_t> footer_bytes = footer_body.Finish();
   tail.PutU32(kFooterMagic);
   tail.PutBytes(footer_bytes);
-  tail.PutU32(zip::ComputeCrc32(footer_bytes.data(), footer_bytes.size()));
+  tail.PutU32(zip::ComputeCrc32(footer_bytes));
 
   Status crash = FailPoints::Hit("store_write");
   if (!crash.ok()) {

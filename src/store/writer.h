@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,7 @@ class StoreWriter {
   /// modelling a crash mid-write (the torn tail the reader must drop).
   Status WriteChunk(const std::vector<double>& values,
                     int64_t first_timestamp);
-  Status WriteAll(const std::vector<uint8_t>& bytes);
+  Status WriteAll(std::span<const uint8_t> bytes);
   /// fsyncs the file when options_.sync is set; a no-op otherwise.
   Status SyncFile();
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/status.h"
@@ -128,9 +129,8 @@ class BitWriter {
 /// matching the original bit-at-a-time reader's end state.
 class BitReader {
  public:
-  BitReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit BitReader(const std::vector<uint8_t>& data)
-      : BitReader(data.data(), data.size()) {}
+  explicit BitReader(std::span<const uint8_t> bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
 
   /// Reads `count` bits (<= 32), LSB first. Fails past end of input.
   Result<uint32_t> ReadBits(int count) {
@@ -225,12 +225,12 @@ class BitReader {
 
   /// Tops `buffer` up to >= 57 bits (or all that remain of `data`). Buffer
   /// bits at and above `bits` are always zero.
-  static void RefillCursor(const uint8_t* data, size_t size, uint64_t& buffer,
+  static void RefillCursor(std::span<const uint8_t> bytes, uint64_t& buffer,
                            int& bits, size_t& next) {
     if (bits > 56) return;
-    if (next + 8 <= size) {
+    if (next + 8 <= bytes.size()) {
       uint64_t word;
-      std::memcpy(&word, data + next, 8);
+      std::memcpy(&word, bytes.data() + next, 8);
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
       word = __builtin_bswap64(word);
 #endif
@@ -239,15 +239,15 @@ class BitReader {
       next += static_cast<size_t>(inserted);
       bits += inserted * 8;
     } else {
-      while (bits <= 56 && next < size) {
-        buffer |= static_cast<uint64_t>(data[next++]) << bits;
+      while (bits <= 56 && next < bytes.size()) {
+        buffer |= static_cast<uint64_t>(bytes[next++]) << bits;
         bits += 8;
       }
     }
   }
 
   void Refill() const {
-    RefillCursor(data_, size_, bit_buffer_, bits_in_buffer_, next_byte_);
+    RefillCursor({data_, size_}, bit_buffer_, bits_in_buffer_, next_byte_);
   }
 
   const uint8_t* data_;
@@ -284,10 +284,8 @@ class ReferenceBitWriter {
 /// The original bit-at-a-time reader (see ReferenceBitWriter).
 class ReferenceBitReader {
  public:
-  ReferenceBitReader(const uint8_t* data, size_t size)
-      : data_(data), size_(size) {}
-  explicit ReferenceBitReader(const std::vector<uint8_t>& data)
-      : ReferenceBitReader(data.data(), data.size()) {}
+  explicit ReferenceBitReader(std::span<const uint8_t> bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
 
   Result<uint32_t> ReadBits(int count);
   Result<uint64_t> ReadBits64(int count);

@@ -53,7 +53,9 @@ uint32_t ByteLoop(const Crc32Tables& tb, uint32_t state, const uint8_t* data,
 
 }  // namespace
 
-void Crc32::Update(const uint8_t* data, size_t size) {
+void Crc32::Update(std::span<const uint8_t> bytes) {
+  const uint8_t* data = bytes.data();
+  size_t size = bytes.size();
   const Crc32Tables& tb = Tables();
   uint32_t state = state_;
   while (size >= 8) {
@@ -69,14 +71,15 @@ void Crc32::Update(const uint8_t* data, size_t size) {
   state_ = ByteLoop(tb, state, data, size);
 }
 
-uint32_t ComputeCrc32(const uint8_t* data, size_t size) {
+uint32_t ComputeCrc32(std::span<const uint8_t> bytes) {
   Crc32 crc;
-  crc.Update(data, size);
+  crc.Update(bytes);
   return crc.value();
 }
 
-uint32_t ComputeCrc32Reference(const uint8_t* data, size_t size) {
-  return ByteLoop(Tables(), 0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+uint32_t ComputeCrc32Reference(std::span<const uint8_t> bytes) {
+  return ByteLoop(Tables(), 0xFFFFFFFFu, bytes.data(), bytes.size()) ^
+         0xFFFFFFFFu;
 }
 
 }  // namespace lossyts::zip

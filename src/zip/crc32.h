@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace lossyts::zip {
 
@@ -13,11 +13,8 @@ namespace lossyts::zip {
 /// tail.
 class Crc32 {
  public:
-  /// Feeds `size` bytes into the checksum.
-  void Update(const uint8_t* data, size_t size);
-  void Update(const std::vector<uint8_t>& data) {
-    Update(data.data(), data.size());
-  }
+  /// Feeds `bytes` into the checksum.
+  void Update(std::span<const uint8_t> bytes);
 
   /// Final checksum value.
   uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
@@ -27,11 +24,11 @@ class Crc32 {
 };
 
 /// One-shot CRC-32 of a buffer.
-uint32_t ComputeCrc32(const uint8_t* data, size_t size);
+uint32_t ComputeCrc32(std::span<const uint8_t> bytes);
 
 /// One-shot CRC-32 via the single-table byte loop alone. Kept as the
 /// executable spec for slice-by-8.
-uint32_t ComputeCrc32Reference(const uint8_t* data, size_t size);
+uint32_t ComputeCrc32Reference(std::span<const uint8_t> bytes);
 
 }  // namespace lossyts::zip
 

@@ -126,7 +126,7 @@ std::vector<ClcSymbol> RunLengthEncodeLengths(const std::vector<int>& lengths) {
   return out;
 }
 
-void WriteStoredBlock(const std::vector<uint8_t>& input, BitWriter& writer) {
+void WriteStoredBlock(std::span<const uint8_t> input, BitWriter& writer) {
   writer.WriteBits(1, 1);  // BFINAL
   writer.WriteBits(0, 2);  // BTYPE = stored
   writer.AlignToByte();
@@ -150,7 +150,7 @@ std::vector<int> FixedLitLenLengths() {
 
 }  // namespace
 
-std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input) {
+std::vector<uint8_t> DeflateCompress(std::span<const uint8_t> input) {
   BitWriter writer;
   if (input.size() < 8) {
     // Tiny inputs: a stored block is smaller than any Huffman header.
@@ -158,8 +158,7 @@ std::vector<uint8_t> DeflateCompress(const std::vector<uint8_t>& input) {
     return writer.Finish();
   }
 
-  const std::vector<Lz77Token> tokens =
-      Lz77Tokenize(input.data(), input.size());
+  const std::vector<Lz77Token> tokens = Lz77Tokenize(input);
 
   // Count symbol frequencies.
   std::vector<uint64_t> lit_freq(kNumLitLenSymbols, 0);
@@ -311,8 +310,7 @@ Status InflateBlockBody(const HuffmanDecoder& lit_decoder,
 
 }  // namespace
 
-Result<std::vector<uint8_t>> DeflateDecompress(
-    const std::vector<uint8_t>& input) {
+Result<std::vector<uint8_t>> DeflateDecompress(std::span<const uint8_t> input) {
   BitReader reader(input);
   std::vector<uint8_t> out;
   while (true) {

@@ -284,8 +284,7 @@ Status HuffmanDecoder::DecodeMany(BitReader& reader, int* out,
                                   size_t count) const {
   // The cursor lives in locals for the whole loop, so stores to `out` cannot
   // force it back to memory, and is written back once at the end.
-  const uint8_t* const data = reader.data_;
-  const size_t size = reader.size_;
+  const std::span<const uint8_t> bytes(reader.data_, reader.size_);
   uint64_t buffer = reader.bit_buffer_;
   int bits = reader.bits_in_buffer_;
   size_t next = reader.next_byte_;
@@ -298,7 +297,7 @@ Status HuffmanDecoder::DecodeMany(BitReader& reader, int* out,
     // (codes are <= 15 bits). The buffer is zero above `bits`: a short tail
     // reads as zero padding, which cannot alias a wrong symbol because a
     // prefix code's identity is fixed by its true prefix.
-    BitReader::RefillCursor(data, size, buffer, bits, next);
+    BitReader::RefillCursor(bytes, buffer, bits, next);
     uint32_t entry = table[buffer & root_mask];
     if (entry & kSubFlag) {
       const uint32_t width = (entry >> kLenShift) & 31u;
@@ -316,7 +315,7 @@ Status HuffmanDecoder::DecodeMany(BitReader& reader, int* out,
         bits -= max_used_length_;
         status = Status::Corruption("invalid Huffman code in stream");
       } else {
-        next = size;
+        next = bytes.size();
         bits = 0;
         buffer = 0;
         status = Status::OutOfRange("bit stream exhausted");

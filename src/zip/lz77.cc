@@ -67,8 +67,8 @@ struct Matcher {
   std::vector<uint32_t> sorted;        // Positions, by (hash, position).
   std::vector<uint32_t> slot;          // slot[p]: p's index in sorted.
 
-  Matcher(const uint8_t* data_in, size_t size_in)
-      : data(data_in), size(size_in), bucket_start(kHashSize, 0) {
+  explicit Matcher(std::span<const uint8_t> input)
+      : data(input.data()), size(input.size()), bucket_start(kHashSize, 0) {
     if (size < kMinMatch) return;
     const size_t n = size - kMinMatch + 1;
     sorted.resize(n);
@@ -123,13 +123,15 @@ struct Matcher {
 
 }  // namespace
 
-std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size) {
+std::vector<Lz77Token> Lz77Tokenize(std::span<const uint8_t> input) {
+  const uint8_t* data = input.data();
+  const size_t size = input.size();
   if (size > std::numeric_limits<uint32_t>::max()) {
     throw std::length_error("Lz77Tokenize: input of 2^32 bytes or more");
   }
   std::vector<Lz77Token> tokens;
   tokens.reserve(size / 2 + 16);
-  const Matcher matcher(data, size);
+  const Matcher matcher(input);
 
   const auto emit_literal = [&](size_t pos) {
     Lz77Token t;

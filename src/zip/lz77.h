@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace lossyts::zip {
@@ -20,8 +21,8 @@ struct Lz77Token {
 /// (most recent first), word-at-a-time match extension and zlib-style lazy
 /// matching (before emitting a match at p, probe p+1 and prefer a literal
 /// plus the longer match; a match of 64 bytes or more is emitted at once).
-/// Positions are 32-bit: throws std::length_error when size >= 2^32.
-std::vector<Lz77Token> Lz77Tokenize(const uint8_t* data, size_t size);
+/// Positions are 32-bit: throws std::length_error for 2^32 bytes or more.
+std::vector<Lz77Token> Lz77Tokenize(std::span<const uint8_t> input);
 
 }  // namespace lossyts::zip
 

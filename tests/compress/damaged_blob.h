@@ -3,11 +3,12 @@
 
 // Helpers for pinning how SZ and LFZip decoders fail on damaged blobs: a
 // map of where each stream sits in a blob, byte surgery on it, and a
-// one-line outcome to compare against a pinned string.
+// one-line outcome to compare against a pinned string or another decode.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -134,10 +135,8 @@ inline std::vector<uint8_t> Damage(const std::string& name,
   return blob;
 }
 
-/// The decode status, or "OK <FNV-1a of the value bits>" when it decodes.
-inline std::string DecodeOutcome(const Compressor& codec,
-                                 const std::vector<uint8_t>& blob) {
-  Result<TimeSeries> out = codec.Decompress(blob);
+/// The status, or "OK <FNV-1a of the value bits>" for a decoded series.
+inline std::string Outcome(const Result<TimeSeries>& out) {
   if (!out.ok()) return out.status().ToString();
   uint64_t hash = 0xCBF29CE484222325ULL;
   for (double v : out->values()) {
@@ -152,6 +151,12 @@ inline std::string DecodeOutcome(const Compressor& codec,
   std::snprintf(text, sizeof(text), "OK %016llx",
                 static_cast<unsigned long long>(hash));
   return text;
+}
+
+/// Outcome of decoding `blob` with `codec`.
+inline std::string DecodeOutcome(const Compressor& codec,
+                                 std::span<const uint8_t> blob) {
+  return Outcome(codec.Decompress(blob));
 }
 
 }  // namespace lossyts::compress

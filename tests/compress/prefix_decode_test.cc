@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "compress/chimp.h"
 #include "compress/gorilla.h"
+#include "damaged_blob.h"
 #include "core/rng.h"
 
 namespace lossyts::compress {
@@ -93,6 +95,14 @@ TEST(PrefixDecodeTest, PrefixRejectsCorruptBlobs) {
   ASSERT_TRUE(blob.ok());
   std::vector<uint8_t> truncated(blob->begin(), blob->begin() + 5);
   EXPECT_FALSE(codec.DecompressPrefix(truncated, 10).ok());
+  // Every cut decodes alike as an owning copy and as a view with the rest of
+  // the blob behind it: the prefix walk stops at the end of its view.
+  for (size_t keep = 0; keep < blob->size(); ++keep) {
+    const std::vector<uint8_t> copy(blob->begin(), blob->begin() + keep);
+    EXPECT_EQ(Outcome(codec.DecompressPrefix(std::span(*blob).first(keep), 10)),
+              Outcome(codec.DecompressPrefix(copy, 10)))
+        << "keep=" << keep;
+  }
 }
 
 }  // namespace

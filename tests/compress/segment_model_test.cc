@@ -4,6 +4,10 @@
 #include "compress/segment_model.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,12 +40,31 @@ std::vector<uint8_t> WriteBlob(AlgorithmId algorithm,
   return *blob;
 }
 
-Result<std::vector<SegmentModel>> Parse(const std::vector<uint8_t>& blob) {
+Result<std::vector<SegmentModel>> Parse(std::span<const uint8_t> blob) {
   std::vector<SegmentModel> out;
   Result<BlobHeader> header =
       ParseSegments(blob, [&](const SegmentModel& s) { out.push_back(s); });
   if (!header.ok()) return header.status();
   return out;
+}
+
+// The parse status, or every segment's fields with the doubles as bits.
+std::string ParseOutcome(std::span<const uint8_t> blob) {
+  Result<std::vector<SegmentModel>> parsed = Parse(blob);
+  if (!parsed.ok()) return parsed.status().ToString();
+  std::string text = "OK";
+  for (const SegmentModel& s : *parsed) {
+    uint64_t anchor = 0;
+    uint64_t slope = 0;
+    std::memcpy(&anchor, &s.anchor, sizeof(anchor));
+    std::memcpy(&slope, &s.slope, sizeof(slope));
+    char segment[96];
+    std::snprintf(segment, sizeof(segment), " %u+%u:%016llx,%016llx%c",
+                  s.start, s.length, static_cast<unsigned long long>(anchor),
+                  static_cast<unsigned long long>(slope), s.f32 ? 'f' : 'd');
+    text += segment;
+  }
+  return text;
 }
 
 TEST(SegmentParserTest, PmcWidthsRoundTrip) {
@@ -145,6 +168,13 @@ TEST(SegmentParserTest, TruncationIsCorruption) {
   Result<std::vector<SegmentModel>> parsed = Parse(blob);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+  // Every cut parses alike as an owning copy and as a view with the rest of
+  // the blob behind it: the parser stops at the end of its view.
+  for (size_t keep = 0; keep < full.size(); ++keep) {
+    const std::vector<uint8_t> copy(full.begin(), full.begin() + keep);
+    EXPECT_EQ(ParseOutcome(std::span(full).first(keep)), ParseOutcome(copy))
+        << "keep=" << keep;
+  }
 }
 
 TEST(SegmentParserTest, NonModelAlgorithmIsInvalidArgument) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -256,7 +257,7 @@ class BrokenCompressor : public compress::Compressor {
   }
 
   Result<TimeSeries> Decompress(
-      const std::vector<uint8_t>& blob) const override {
+      std::span<const uint8_t> blob) const override {
     compress::ByteReader reader(blob);
     Result<int64_t> ts = reader.GetI64();
     if (!ts.ok()) return ts.status();
@@ -380,7 +381,7 @@ class AcceptingCompressor : public compress::Compressor {
                                         double) const override {
     return std::vector<uint8_t>{};
   }
-  Result<TimeSeries> Decompress(const std::vector<uint8_t>&) const override {
+  Result<TimeSeries> Decompress(std::span<const uint8_t>) const override {
     return TimeSeries(0, 1, {1.0, 2.0, 3.0});
   }
 };

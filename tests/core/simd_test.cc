@@ -242,13 +242,13 @@ TEST(SimdTest, Crc32KernelsAgreeAcrossLevels) {
     for (auto& x : data) x = static_cast<uint8_t>(rng());
     const uint32_t expected =
         SpecCrc32Update(0xFFFFFFFFu, data.data(), n) ^ 0xFFFFFFFFu;
-    EXPECT_EQ(zip::ComputeCrc32(data.data(), n), expected) << "n=" << n;
-    EXPECT_EQ(zip::ComputeCrc32Reference(data.data(), n), expected)
+    EXPECT_EQ(zip::ComputeCrc32({data.data(), n}), expected) << "n=" << n;
+    EXPECT_EQ(zip::ComputeCrc32Reference({data.data(), n}), expected)
         << "n=" << n;
     for (size_t split = 0; split <= std::min<size_t>(n, 17); ++split) {
       zip::Crc32 crc;
-      crc.Update(data.data(), split);
-      crc.Update(data.data() + split, n - split);
+      crc.Update({data.data(), split});
+      crc.Update({data.data() + split, n - split});
       EXPECT_EQ(crc.value(), expected) << "n=" << n << " split=" << split;
     }
   }

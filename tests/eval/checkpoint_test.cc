@@ -325,8 +325,8 @@ TEST(CheckpointTest, V1CheckpointIsIncompatibleAndRecomputed) {
                 GridOptionsHash(GBoostGrid()));
   char crc[16];
   std::snprintf(crc, sizeof(crc), "%08x",
-                zip::ComputeCrc32(reinterpret_cast<const uint8_t*>(row.data()),
-                                  row.size()));
+                zip::ComputeCrc32({reinterpret_cast<const uint8_t*>(row.data()),
+                                   row.size()}));
   WriteFileOrDie(path,
                  std::string(manifest) +
                      "dataset,model,compressor,error_bound,seed,r,rse,rmse,"

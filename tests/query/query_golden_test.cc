@@ -379,7 +379,7 @@ void DamageSzChunk(const std::string& path, size_t index, size_t offset = 15,
   uint8_t* payload =
       reinterpret_cast<uint8_t*>(bytes.data()) + chunk.offset + 8;
   payload[offset] = value;
-  const uint32_t crc = zip::ComputeCrc32(payload, chunk.payload_size);
+  const uint32_t crc = zip::ComputeCrc32({payload, chunk.payload_size});
   for (int i = 0; i < 4; ++i) {
     payload[chunk.payload_size + i] = static_cast<uint8_t>(crc >> (8 * i));
   }

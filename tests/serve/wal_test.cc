@@ -153,7 +153,8 @@ TEST_F(WalTest, ResetReplacesTheLogAtomically) {
 
 TEST_F(WalTest, EmptyOrAlienFileIsCorruptionNotACrash) {
   EXPECT_EQ(ReplayWalBytes({}).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(ReplayWalBytes({0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5})
+  EXPECT_EQ(ReplayWalBytes(
+                std::vector<uint8_t>{0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5})
                 .status()
                 .code(),
             StatusCode::kCorruption);

@@ -1,6 +1,5 @@
 // The decoded-chunk LRU cache: capacity enforcement, recency-order
-// eviction, hit/miss counters, and immediate shrink on capacity changes
-// (src/store/reader.cc).
+// eviction and hit/miss counters (src/store/reader.cc).
 
 #include <gtest/gtest.h>
 
@@ -42,53 +41,33 @@ std::unique_ptr<StoreReader> ManyChunkStore(const std::string& name,
 
 TEST(StoreCacheTest, CapacityBoundsTheCacheEvenAcrossAFullScan) {
   auto reader = ManyChunkStore("cache_cap.lts", 100);
-  EXPECT_EQ(reader->chunk_cache_capacity(),
-            StoreReader::kDefaultChunkCacheCapacity);
   auto all = reader->ReadAll();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->values().size(), 400u);
   // 100 distinct chunks decoded once each through a 64-entry cache.
   EXPECT_EQ(reader->cache_misses(), 100u);
   EXPECT_EQ(reader->cache_hits(), 0u);
-  EXPECT_EQ(reader->cached_chunks(), StoreReader::kDefaultChunkCacheCapacity);
-}
-
-TEST(StoreCacheTest, ShrinkingTheCapacityEvictsImmediately) {
-  auto reader = ManyChunkStore("cache_shrink.lts", 20);
-  ASSERT_TRUE(reader->ReadAll().ok());
-  EXPECT_EQ(reader->cached_chunks(), 20u);
-  reader->SetChunkCacheCapacity(5);
-  EXPECT_EQ(reader->chunk_cache_capacity(), 5u);
-  EXPECT_EQ(reader->cached_chunks(), 5u);
-  // The survivors are the five most recently decoded chunks (15..19): using
-  // them is all hits, anything older is a fresh miss.
-  const uint64_t misses_before = reader->cache_misses();
-  for (size_t i = 15; i < 20; ++i) {
-    ASSERT_TRUE(reader->DecodeChunkValues(i).ok());
-  }
-  EXPECT_EQ(reader->cache_misses(), misses_before);
-  ASSERT_TRUE(reader->DecodeChunkValues(0).ok());
-  EXPECT_EQ(reader->cache_misses(), misses_before + 1);
+  EXPECT_EQ(reader->cached_chunks(), StoreReader::kChunkCacheCapacity);
 }
 
 TEST(StoreCacheTest, EvictionFollowsRecencyNotInsertionOrder) {
-  auto reader = ManyChunkStore("cache_lru.lts", 10);
-  reader->SetChunkCacheCapacity(3);
+  constexpr size_t kCapacity = StoreReader::kChunkCacheCapacity;
+  auto reader = ManyChunkStore("cache_lru.lts", kCapacity + 2);
 
-  ASSERT_TRUE(reader->DecodeChunkValues(0).ok());  // miss
-  ASSERT_TRUE(reader->DecodeChunkValues(1).ok());  // miss
-  ASSERT_TRUE(reader->DecodeChunkValues(2).ok());  // miss
+  for (size_t i = 0; i < kCapacity; ++i) {
+    ASSERT_TRUE(reader->DecodeChunkValues(i).ok());  // miss: fills the cache
+  }
   ASSERT_TRUE(reader->DecodeChunkValues(0).ok());  // hit: 0 becomes MRU
-  ASSERT_TRUE(reader->DecodeChunkValues(3).ok());  // miss: evicts 1, not 0
-  EXPECT_EQ(reader->cached_chunks(), 3u);
+  ASSERT_TRUE(reader->DecodeChunkValues(kCapacity).ok());  // evicts 1, not 0
+  EXPECT_EQ(reader->cached_chunks(), kCapacity);
   EXPECT_EQ(reader->cache_hits(), 1u);
-  EXPECT_EQ(reader->cache_misses(), 4u);
+  EXPECT_EQ(reader->cache_misses(), kCapacity + 1);
 
   ASSERT_TRUE(reader->DecodeChunkValues(0).ok());  // hit: survived
   EXPECT_EQ(reader->cache_hits(), 2u);
   ASSERT_TRUE(reader->DecodeChunkValues(1).ok());  // miss: was evicted
-  EXPECT_EQ(reader->cache_misses(), 5u);
-  EXPECT_EQ(reader->cached_chunks(), 3u);
+  EXPECT_EQ(reader->cache_misses(), kCapacity + 2);
+  EXPECT_EQ(reader->cached_chunks(), kCapacity);
 
   // Decoded values are correct regardless of cache churn.
   auto chunk = reader->DecodeChunkValues(1);

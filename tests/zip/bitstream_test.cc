@@ -65,7 +65,7 @@ TEST(BitstreamTest, ReadPastEndFails) {
 }
 
 TEST(BitstreamTest, EmptyReaderFailsImmediately) {
-  BitReader reader(nullptr, 0);
+  BitReader reader({});
   EXPECT_FALSE(reader.ReadBit().ok());
   EXPECT_TRUE(reader.AtEnd());
 }

@@ -10,7 +10,7 @@ namespace lossyts::zip {
 namespace {
 
 uint32_t CrcOfString(const std::string& s) {
-  return ComputeCrc32(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  return ComputeCrc32({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
 }
 
 TEST(Crc32Test, KnownCheckValue) {
@@ -28,8 +28,8 @@ TEST(Crc32Test, SingleByte) {
 TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::string s = "hello world, this is an incremental test";
   Crc32 inc;
-  inc.Update(reinterpret_cast<const uint8_t*>(s.data()), 5);
-  inc.Update(reinterpret_cast<const uint8_t*>(s.data()) + 5, s.size() - 5);
+  inc.Update({reinterpret_cast<const uint8_t*>(s.data()), 5});
+  inc.Update({reinterpret_cast<const uint8_t*>(s.data()) + 5, s.size() - 5});
   EXPECT_EQ(inc.value(), CrcOfString(s));
 }
 
@@ -53,7 +53,7 @@ TEST(Crc32Test, DispatchedKernelMatchesReferenceByteLoop) {
   for (size_t size : sizes) {
     for (size_t offset = 0; offset < 8; ++offset) {
       const uint8_t* data = buffer.data() + offset;
-      EXPECT_EQ(ComputeCrc32(data, size), ComputeCrc32Reference(data, size))
+      EXPECT_EQ(ComputeCrc32({data, size}), ComputeCrc32Reference({data, size}))
           << "size " << size << " offset " << offset;
     }
   }

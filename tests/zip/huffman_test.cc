@@ -241,8 +241,8 @@ TEST(HuffmanTest, TruncatedStreamIsOutOfRangeCorruptPrefixIsCorruption) {
   }
   {
     // Empty stream: immediately OutOfRange on both paths.
-    BitReader lut_reader(nullptr, 0);
-    BitReader ref_reader(nullptr, 0);
+    BitReader lut_reader({});
+    BitReader ref_reader({});
     Result<int> a = decoder.Decode(lut_reader);
     Result<int> b = decoder.DecodeReference(ref_reader);
     ASSERT_FALSE(a.ok());
@@ -656,8 +656,8 @@ struct TablePair {
 // Rewrites the mode-0 table at `offset` as `pairs`, keeping the payload.
 std::vector<uint8_t> WithTable(const std::vector<uint8_t>& blob, size_t offset,
                                const std::vector<TablePair>& pairs) {
-  compress::ByteReader reader(blob.data() + offset + 1,
-                              blob.size() - offset - 1);
+  compress::ByteReader reader({blob.data() + offset + 1,
+                               blob.size() - offset - 1});
   const uint32_t n_used = *reader.GetU32();
   const size_t tail = offset + 5 + 5 * static_cast<size_t>(n_used);
   compress::ByteWriter writer;
@@ -674,7 +674,7 @@ std::vector<uint8_t> WithTable(const std::vector<uint8_t>& blob, size_t offset,
 
 std::vector<TablePair> ReadTable(const std::vector<uint8_t>& blob,
                                  size_t offset) {
-  compress::ByteReader reader(blob.data() + offset, blob.size() - offset);
+  compress::ByteReader reader({blob.data() + offset, blob.size() - offset});
   EXPECT_EQ(*reader.GetU8(), 0) << "mutants need a Huffman-mode blob";
   const uint32_t n_used = *reader.GetU32();
   std::vector<TablePair> pairs;

@@ -34,19 +34,19 @@ std::vector<uint8_t> Reconstruct(const std::vector<Lz77Token>& tokens) {
 }
 
 TEST(Lz77Test, EmptyInputGivesNoTokens) {
-  EXPECT_TRUE(Lz77Tokenize(nullptr, 0).empty());
+  EXPECT_TRUE(Lz77Tokenize({}).empty());
 }
 
 // Positions are 32-bit, so a 2^32-byte input is refused before any byte is
 // read (the one byte here is never touched).
 TEST(Lz77Test, InputOf2To32BytesThrows) {
   const uint8_t byte = 0;
-  EXPECT_THROW(Lz77Tokenize(&byte, size_t{1} << 32), std::length_error);
+  EXPECT_THROW(Lz77Tokenize({&byte, size_t{1} << 32}), std::length_error);
 }
 
 TEST(Lz77Test, ShortInputIsAllLiterals) {
   std::vector<uint8_t> data = Bytes("ab");
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_FALSE(tokens[0].is_match);
   EXPECT_FALSE(tokens[1].is_match);
@@ -54,7 +54,7 @@ TEST(Lz77Test, ShortInputIsAllLiterals) {
 
 TEST(Lz77Test, RepetitionProducesMatches) {
   std::vector<uint8_t> data = Bytes("abcabcabcabcabcabc");
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   bool has_match = false;
   for (const Lz77Token& t : tokens) has_match |= t.is_match;
   EXPECT_TRUE(has_match);
@@ -65,7 +65,7 @@ TEST(Lz77Test, RepetitionProducesMatches) {
 TEST(Lz77Test, OverlappingMatchReconstructs) {
   // "aaaa..." forces distance-1 overlapping copies.
   std::vector<uint8_t> data(100, 'a');
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   EXPECT_EQ(Reconstruct(tokens), data);
   ASSERT_GE(tokens.size(), 2u);
   EXPECT_TRUE(tokens[1].is_match);
@@ -78,7 +78,7 @@ TEST(Lz77Test, MatchFieldsWithinDeflateLimits) {
   for (int i = 0; i < 50000; ++i) {
     data.push_back(static_cast<uint8_t>(rng.UniformInt(4)));
   }
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   for (const Lz77Token& t : tokens) {
     if (t.is_match) {
       EXPECT_GE(t.length, 3);
@@ -96,7 +96,7 @@ TEST(Lz77Test, RandomBytesReconstruct) {
   for (int i = 0; i < 10000; ++i) {
     data.push_back(static_cast<uint8_t>(rng.UniformInt(256)));
   }
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   EXPECT_EQ(Reconstruct(tokens), data);
 }
 
@@ -106,7 +106,7 @@ TEST(Lz77Test, TextCompressesWell) {
     text += "the quick brown fox jumps over the lazy dog. ";
   }
   std::vector<uint8_t> data = Bytes(text);
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data.data(), data.size());
+  std::vector<Lz77Token> tokens = Lz77Tokenize({data.data(), data.size()});
   EXPECT_LT(tokens.size(), data.size() / 5);
   EXPECT_EQ(Reconstruct(tokens), data);
 }
@@ -227,7 +227,7 @@ long FirstDifference(const std::vector<Lz77Token>& a,
 }
 
 void ExpectMatchesReference(const std::vector<uint8_t>& data) {
-  EXPECT_EQ(FirstDifference(Lz77Tokenize(data.data(), data.size()),
+  EXPECT_EQ(FirstDifference(Lz77Tokenize({data.data(), data.size()}),
                             ReferenceTokenize(data.data(), data.size())),
             -1);
 }
@@ -274,7 +274,7 @@ TEST(Lz77SpecTest, SyntheticInputsReachTheWindowAndChainLimits) {
   const std::vector<uint8_t> periodic =
       golden::SyntheticBytes("period32768", 65536);
   const std::vector<Lz77Token> tokens =
-      Lz77Tokenize(periodic.data(), periodic.size());
+      Lz77Tokenize({periodic.data(), periodic.size()});
   EXPECT_TRUE(std::any_of(tokens.begin(), tokens.end(), [](const Lz77Token& t) {
     return t.is_match && t.distance == 32768;
   }));
