@@ -60,6 +60,18 @@ TEST(GzipTest, DetectsBadMagic) {
   EXPECT_FALSE(GzipDecompress(gz).ok());
 }
 
+TEST(GzipTest, RejectsReservedFlagBits) {
+  // RFC 1952 §2.3.1.2: a decompressor must report an error when a reserved
+  // FLG bit (5, 6 or 7) is set.
+  for (const uint8_t bit : {uint8_t{0x20}, uint8_t{0x40}, uint8_t{0x80}}) {
+    std::vector<uint8_t> gz = GzipCompress(Bytes("hello"));
+    gz[3] |= bit;
+    Result<std::vector<uint8_t>> out = GzipDecompress(gz);
+    ASSERT_FALSE(out.ok()) << "FLG bit " << int{bit};
+    EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(GzipTest, RejectsTooShortInput) {
   std::vector<uint8_t> tiny = {0x1F, 0x8B, 0x08};
   EXPECT_FALSE(GzipDecompress(tiny).ok());
