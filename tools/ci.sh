@@ -324,6 +324,27 @@ frame_guard() {
   echo "frame_guard: every frame in src/ goes through compress::PutFrame/ParseFrame"
 }
 
+# One byte-view spelling, plain leg only: a function in src/ that reads a
+# byte buffer it does not keep takes one std::span<const uint8_t>. A header
+# parameter spelled `const std::vector<uint8_t>&`, or a `const uint8_t*`
+# followed by a size_t size, is a second spelling. Perl reads each header
+# whole, so a parameter list that wraps a line is still seen.
+span_guard() {
+  local hits
+  hits="$(find "${ROOT}/src" -name '*.h' -print0 | sort -z | xargs -0 perl -0777 -ne '
+    while (/const\s+std::vector<uint8_t>\s*&\s*\w*\s*[,)]|const\s+uint8_t\s*\*\s*\w*\s*,\s*size_t\b/g) {
+      my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+      (my $match = $&) =~ s/\s+/ /g;
+      print "$ARGV:$line: $match\n";
+    }')"
+  if [[ -n "${hits}" ]]; then
+    echo "span_guard: a byte-buffer parameter not spelled std::span<const uint8_t>:"
+    echo "${hits}"
+    return 1
+  fi
+  echo "span_guard: every byte-buffer parameter in src/ headers is a std::span"
+}
+
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
@@ -336,6 +357,7 @@ run_config() {
   if [[ -z "${sanitize}" ]]; then
     seam_guard
     frame_guard
+    span_guard
   fi
   cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLOSSYTS_SANITIZE="${sanitize}" -DCMAKE_CXX_FLAGS="${cxx_flags}"
