@@ -5,12 +5,11 @@
 // forecasting bench uses the same GridOptions (and thus the same checkpoint
 // cache), so the expensive model-training sweep runs once no matter which
 // bench is executed first. The compression-only sweep takes under a second
-// and is recomputed by each bench that needs it. The micro_* benches share
-// the flag, timing and series helpers at the end of this header.
+// and is recomputed by each bench that needs it. The streaming driver below
+// is shared with the stream tests and speed_floors.
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -128,10 +127,10 @@ inline std::map<std::string, std::vector<double>> GroupTfe(
 
 // --- Shared streaming driver (src/stream/ benches) -------------------------
 //
-// The streaming benches (micro_stream, the streaming sections of
-// futurework_change_detection and figure7_retrain) all drive the same
-// machinery: a drifting series with known change points is fed one point at
-// a time through a StreamingCompressor, the emitted segments feed a
+// The streaming section of futurework_change_detection, the drift-corpus
+// stream tests (tests/stream/) and speed_floors' ingest row all drive the
+// same machinery: a drifting series with known change points is fed one
+// point at a time through a StreamingCompressor, the emitted segments feed a
 // SegmentDriftDetector, and the result is checked against the offline twin
 // (batch compress → decompress → analysis::DetectChanges), which must match
 // alarm-for-alarm in point-CUSUM mode.
@@ -154,6 +153,33 @@ inline TimeSeries MakeDriftSeries(size_t n, const std::vector<size_t>& shifts,
     v[i] = level + noise_sigma * rng.Normal();
   }
   return TimeSeries(0, 60, std::move(v));
+}
+
+/// One series of the drift corpus and its ground-truth shift indices.
+struct DriftCase {
+  std::string name;
+  TimeSeries series;
+  std::vector<size_t> truth;
+};
+
+/// The drift corpus: 4 series of 6000 points with a level shift every 1000
+/// points. Each shift is 0.4x the series' level over noise of sigma 0.6, far
+/// above a 0.05 bound, so every one is detectable after compression.
+inline std::vector<DriftCase> MakeDriftCorpus() {
+  constexpr size_t kPoints = 6000;
+  std::vector<DriftCase> corpus;
+  for (int s = 0; s < 4; ++s) {
+    std::vector<size_t> truth;
+    for (size_t t = kPoints / 6; t + kPoints / 12 < kPoints; t += kPoints / 6) {
+      truth.push_back(t);
+    }
+    const double level = 30.0 + 5.0 * s;
+    corpus.push_back({"drift-" + std::to_string(s),
+                      MakeDriftSeries(kPoints, truth, level, 0.4 * level, 0.6,
+                                      101 + static_cast<uint64_t>(s)),
+                      truth});
+  }
+  return corpus;
 }
 
 /// Output of one streaming detection pass.
@@ -240,14 +266,7 @@ inline double MeanDetectionDelay(const std::vector<size_t>& alarms,
   return hits == 0 ? -1.0 : total / static_cast<double>(hits);
 }
 
-// --- Shared micro-bench helpers --------------------------------------------
-
-/// Milliseconds elapsed since `start`.
-inline double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
+// --- Flag parsing ------------------------------------------------------
 
 /// Value of the first `flag N` pair on the command line, or `fallback` when
 /// `flag` is absent. A missing value, one that is not a decimal integer, a
@@ -271,18 +290,6 @@ inline int ParseIntFlag(int argc, char** argv, const char* flag,
     return static_cast<int>(value);
   }
   return fallback;
-}
-
-/// Seeded Gaussian random walk of `n` points from 100 at a 60 s interval.
-inline TimeSeries MakeRandomWalkSeries(size_t n) {
-  Rng rng(42);
-  std::vector<double> v(n);
-  double x = 100.0;
-  for (auto& val : v) {
-    x += 0.1 * rng.Normal();
-    val = x;
-  }
-  return TimeSeries(0, 60, std::move(v));
 }
 
 }  // namespace lossyts::bench

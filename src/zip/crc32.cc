@@ -77,9 +77,4 @@ uint32_t ComputeCrc32(std::span<const uint8_t> bytes) {
   return crc.value();
 }
 
-uint32_t ComputeCrc32Reference(std::span<const uint8_t> bytes) {
-  return ByteLoop(Tables(), 0xFFFFFFFFu, bytes.data(), bytes.size()) ^
-         0xFFFFFFFFu;
-}
-
 }  // namespace lossyts::zip

@@ -26,10 +26,6 @@ class Crc32 {
 /// One-shot CRC-32 of a buffer.
 uint32_t ComputeCrc32(std::span<const uint8_t> bytes);
 
-/// One-shot CRC-32 via the single-table byte loop alone. Kept as the
-/// executable spec for slice-by-8.
-uint32_t ComputeCrc32Reference(std::span<const uint8_t> bytes);
-
 }  // namespace lossyts::zip
 
 #endif  // LOSSYTS_ZIP_CRC32_H_

@@ -307,9 +307,9 @@ Status HuffmanDecoder::DecodeMany(BitReader& reader, int* out,
     }
     const int len = static_cast<int>((entry >> kLenShift) & 31u);
     if (len == 0 || len > bits) [[unlikely]] {
-      // Mirrors DecodeReference: a prefix matching no code is Corruption
-      // once max_used_length_ bits were available, and running out of bits
-      // first is OutOfRange with the stream fully consumed.
+      // As the bit walk: a prefix matching no code is Corruption once
+      // max_used_length_ bits were available, and running out of bits first
+      // is OutOfRange with the stream fully consumed.
       if (len == 0 && bits >= max_used_length_) {
         buffer >>= max_used_length_;
         bits -= max_used_length_;
@@ -336,23 +336,6 @@ Result<int> HuffmanDecoder::Decode(BitReader& reader) const {
   int symbol = 0;
   if (Status s = DecodeMany(reader, &symbol, 1); !s.ok()) return s;
   return symbol;
-}
-
-Result<int> HuffmanDecoder::DecodeReference(BitReader& reader) const {
-  uint32_t code = 0;
-  for (int l = 1; l <= max_used_length_; ++l) {
-    Result<uint32_t> bit = reader.ReadBit();
-    if (!bit.ok()) return bit.status();
-    code = (code << 1) | *bit;
-    if (count_[l] > 0 &&
-        code < first_code_[l] + static_cast<uint32_t>(count_[l])) {
-      if (code >= first_code_[l]) {
-        return sorted_symbols_[offset_[l] + static_cast<int>(code -
-                                                             first_code_[l])];
-      }
-    }
-  }
-  return Status::Corruption("invalid Huffman code in stream");
 }
 
 }  // namespace lossyts::zip

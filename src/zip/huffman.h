@@ -36,10 +36,9 @@ struct SymbolLength {
 /// transmits). DecodeMany() is table-driven: a flat root table indexed by
 /// the next kRootBits stream bits resolves every code up to that length in
 /// one lookup, and longer codes indirect through a per-prefix subtable — the
-/// classic zlib/miniz layout. Decode() is DecodeMany() for one symbol.
-/// DecodeReference() keeps the original first-code/offset bit walk as the
-/// executable spec; all three return identical symbols and identical error
-/// statuses on every stream, and leave the reader in the same state.
+/// classic zlib/miniz layout. Decode() is DecodeMany() for one symbol. Both
+/// return the symbols, the error status and the reader state of a
+/// length-by-length canonical bit walk (RFC 1951 §3.2.2) on every stream.
 class HuffmanDecoder {
  public:
   /// Initializes from per-symbol code lengths: lengths[s] is symbol s's
@@ -64,9 +63,6 @@ class HuffmanDecoder {
 
   /// Decodes one symbol from the reader via the lookup table.
   Result<int> Decode(BitReader& reader) const;
-
-  /// Decodes one symbol with the original length-by-length bit walk.
-  Result<int> DecodeReference(BitReader& reader) const;
 
  private:
   static constexpr int kMaxLength = 15;

@@ -634,85 +634,102 @@ TEST_F(ServeDaemonTest, GarbageFramesDropTheConnectionWithoutReply) {
 // Mixed concurrent clients against one daemon; named *ConcurrencyTest so the
 // TSan CI leg picks it up.
 TEST(ServeDaemonConcurrencyTest, ParallelWritersAndReadersStayConsistent) {
-  const std::string dir = ::testing::TempDir() + "daemon_parallel";
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] const int rc = std::system(cmd.c_str());
-  DaemonOptions options;
-  options.dir = dir;
-  options.shards = 2;
-  options.jobs = 2;
-  options.shard.codecs = {"GORILLA"};
-  options.shard.sync = false;
-  auto daemon = Daemon::Start(options);
-  ASSERT_TRUE(daemon.ok());
+  // The ingest pool's width never changes what a client reads back: the
+  // same traffic runs at jobs 1 and at jobs 2.
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const std::string dir =
+        ::testing::TempDir() + "daemon_parallel_j" + std::to_string(jobs);
+    std::string cmd = "rm -rf '" + dir + "'";
+    [[maybe_unused]] const int rc = std::system(cmd.c_str());
+    DaemonOptions options;
+    options.dir = dir;
+    options.shards = 2;
+    options.jobs = jobs;
+    options.shard.codecs = {"GORILLA"};
+    options.shard.sync = false;
+    auto daemon = Daemon::Start(options);
+    ASSERT_TRUE(daemon.ok());
 
-  constexpr int kWriters = 3;
-  constexpr int kBatches = 20;
-  constexpr int kPerBatch = 4;
-  auto value_at = [](int writer, size_t i) {
-    return static_cast<double>(writer * 1000) + static_cast<double>(i) * 0.5;
-  };
+    constexpr int kWriters = 3;
+    constexpr int kBatches = 20;
+    constexpr int kPerBatch = 4;
+    auto value_at = [](int writer, size_t i) {
+      return static_cast<double>(writer * 1000) + static_cast<double>(i) * 0.5;
+    };
 
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&, w] {
-      auto client = Client::Connect((*daemon)->socket_path());
-      ASSERT_TRUE(client.ok());
-      const std::string series = "writer-" + std::to_string(w);
-      for (int b = 0; b < kBatches; ++b) {
-        std::vector<double> values;
-        for (int i = 0; i < kPerBatch; ++i) {
-          values.push_back(value_at(w, b * kPerBatch + i));
-        }
-        ASSERT_TRUE((*client)
-                        ->Append(series,
-                                 static_cast<int64_t>(b) * kPerBatch * 60, 60,
-                                 values)
-                        .ok());
-        // Read-your-writes: everything acked so far must be visible, exact,
-        // and a clean op-granular prefix.
-        auto read = (*client)->ReadRange(series, 0, 1LL << 40);
-        ASSERT_TRUE(read.ok());
-        ASSERT_EQ(read->values().size(),
-                  static_cast<size_t>((b + 1) * kPerBatch));
-        for (size_t i = 0; i < read->values().size(); ++i) {
-          ASSERT_EQ(read->values()[i], value_at(w, i));
-        }
-      }
-    });
-  }
-  // A roaming reader hammers foreign series and stats while writers run.
-  threads.emplace_back([&] {
-    auto client = Client::Connect((*daemon)->socket_path());
-    ASSERT_TRUE(client.ok());
-    for (int round = 0; round < 40; ++round) {
-      for (int w = 0; w < kWriters; ++w) {
-        auto read =
-            (*client)->ReadRange("writer-" + std::to_string(w), 0, 1LL << 40);
-        if (read.ok()) {
-          ASSERT_EQ(read->values().size() % kPerBatch, 0u);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        auto client = Client::Connect((*daemon)->socket_path());
+        ASSERT_TRUE(client.ok());
+        const std::string series = "writer-" + std::to_string(w);
+        for (int b = 0; b < kBatches; ++b) {
+          std::vector<double> values;
+          for (int i = 0; i < kPerBatch; ++i) {
+            values.push_back(value_at(w, b * kPerBatch + i));
+          }
+          ASSERT_TRUE((*client)
+                          ->Append(series,
+                                   static_cast<int64_t>(b) * kPerBatch * 60, 60,
+                                   values)
+                          .ok());
+          // Read-your-writes: everything acked so far must be visible, exact,
+          // and a clean op-granular prefix.
+          auto read = (*client)->ReadRange(series, 0, 1LL << 40);
+          ASSERT_TRUE(read.ok());
+          ASSERT_EQ(read->values().size(),
+                    static_cast<size_t>((b + 1) * kPerBatch));
           for (size_t i = 0; i < read->values().size(); ++i) {
             ASSERT_EQ(read->values()[i], value_at(w, i));
           }
-        } else {
-          ASSERT_EQ(read.status().code(), StatusCode::kNotFound);
         }
-      }
-      ASSERT_TRUE((*client)->Stats().ok());
+      });
     }
-  });
-  for (std::thread& t : threads) t.join();
+    // A roaming reader hammers foreign series and stats while writers run.
+    threads.emplace_back([&] {
+      auto client = Client::Connect((*daemon)->socket_path());
+      ASSERT_TRUE(client.ok());
+      for (int round = 0; round < 40; ++round) {
+        for (int w = 0; w < kWriters; ++w) {
+          auto read =
+              (*client)->ReadRange("writer-" + std::to_string(w), 0, 1LL << 40);
+          if (read.ok()) {
+            ASSERT_EQ(read->values().size() % kPerBatch, 0u);
+            for (size_t i = 0; i < read->values().size(); ++i) {
+              ASSERT_EQ(read->values()[i], value_at(w, i));
+            }
+          } else {
+            ASSERT_EQ(read.status().code(), StatusCode::kNotFound);
+          }
+        }
+        ASSERT_TRUE((*client)->Stats().ok());
+      }
+    });
+    for (std::thread& t : threads) t.join();
 
-  auto client = Client::Connect((*daemon)->socket_path());
-  ASSERT_TRUE(client.ok());
-  auto stats = (*client)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->points,
-            static_cast<uint64_t>(kWriters * kBatches * kPerBatch));
-  EXPECT_EQ(stats->appended_ops,
-            static_cast<uint64_t>(kWriters * kBatches));
-  EXPECT_EQ(stats->failed_shards, 0u);
-  ASSERT_TRUE((*daemon)->Stop().ok());
+    auto client = Client::Connect((*daemon)->socket_path());
+    ASSERT_TRUE(client.ok());
+    auto stats = (*client)->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->points,
+              static_cast<uint64_t>(kWriters * kBatches * kPerBatch));
+    EXPECT_EQ(stats->appended_ops,
+              static_cast<uint64_t>(kWriters * kBatches));
+    EXPECT_EQ(stats->failed_shards, 0u);
+    // Every acked point reads back exactly once the writers are done.
+    for (int w = 0; w < kWriters; ++w) {
+      auto read =
+          (*client)->ReadRange("writer-" + std::to_string(w), 0, 1LL << 40);
+      ASSERT_TRUE(read.ok());
+      ASSERT_EQ(read->values().size(),
+                static_cast<size_t>(kBatches * kPerBatch));
+      for (size_t i = 0; i < read->values().size(); ++i) {
+        ASSERT_EQ(read->values()[i], value_at(w, i));
+      }
+    }
+    ASSERT_TRUE((*daemon)->Stop().ok());
+  }
 }
 
 }  // namespace

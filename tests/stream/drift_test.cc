@@ -1,12 +1,15 @@
 #include "stream/drift.h"
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/change_detection.h"
+#include "bench_common.h"
 #include "compress/pipeline.h"
 #include "core/rng.h"
 #include "stream/streaming_compressor.h"
@@ -30,6 +33,14 @@ std::vector<double> ShiftingSeries(size_t n, const std::vector<size_t>& cuts,
     v[i] = level + noise * rng.Normal();
   }
   return v;
+}
+
+// The drift corpus runs point CUSUM with a scale-aware sigma floor, as the
+// change-detection bench does.
+analysis::CusumOptions CorpusCusum() {
+  analysis::CusumOptions cusum;
+  cusum.min_sigma = 0.5;
+  return cusum;
 }
 
 std::vector<size_t> Online(const std::vector<double>& values,
@@ -221,6 +232,17 @@ TEST(SegmentDriftDetectorTest, PointCusumEqualsOfflineOnDecompressed) {
     ASSERT_TRUE(detector.Finish(&alarms).ok());
     EXPECT_EQ(alarms, *offline) << codec;
   }
+  for (const bench::DriftCase& c : bench::MakeDriftCorpus()) {
+    for (const std::string& codec : StreamingCompressorNames()) {
+      Result<bench::StreamDetection> online =
+          bench::StreamDetect(c.series, codec, 0.05, CorpusCusum());
+      ASSERT_TRUE(online.ok()) << online.status().ToString();
+      Result<std::vector<size_t>> offline =
+          bench::OfflineAlarms(c.series, codec, 0.05, CorpusCusum());
+      ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+      EXPECT_EQ(online->alarms, *offline) << codec << " " << c.name;
+    }
+  }
 }
 
 TEST(SegmentDriftDetectorTest, SegmentModesAlarmOnLevelShift) {
@@ -248,6 +270,68 @@ TEST(SegmentDriftDetectorTest, SegmentModesAlarmOnLevelShift) {
   EXPECT_GE(alarms.front(), 600u);
   EXPECT_LT(alarms.front(), 800u);
   EXPECT_EQ(detector.points(), 1200u);
+}
+
+// Recall only: for each codec, at least 85% of the corpus' shifts must have
+// an online alarm within 120 points after them. A CUSUM re-anchor can
+// legitimately mask an individual shift, so recall need not be 1. The mean
+// detection delay is not bounded; 120 is only the window a hit must fall in.
+TEST(DriftCorpusTest, RecallPerCodecWithin120Points) {
+  const std::vector<bench::DriftCase> corpus = bench::MakeDriftCorpus();
+  for (const std::string& codec : StreamingCompressorNames()) {
+    size_t shifts = 0;
+    size_t found = 0;
+    for (const bench::DriftCase& c : corpus) {
+      Result<bench::StreamDetection> online =
+          bench::StreamDetect(c.series, codec, 0.05, CorpusCusum());
+      ASSERT_TRUE(online.ok()) << online.status().ToString();
+      size_t detected = 0;
+      bench::MeanDetectionDelay(online->alarms, c.truth, 120, &detected);
+      shifts += c.truth.size();
+      found += detected;
+    }
+    EXPECT_GE(static_cast<double>(found), 0.85 * static_cast<double>(shifts))
+        << codec << " found " << found << " of " << shifts << " shifts";
+  }
+}
+
+// Streams every (series, codec) cell of the drift corpus on `threads`
+// workers that share one cursor; the results come back in cell order.
+std::vector<bench::StreamDetection> DetectCorpus(
+    const std::vector<bench::DriftCase>& corpus, int threads) {
+  const std::vector<std::string> codecs = StreamingCompressorNames();
+  std::vector<bench::StreamDetection> out(corpus.size() * codecs.size());
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t i = next++; i < out.size(); i = next++) {
+      Result<bench::StreamDetection> got =
+          bench::StreamDetect(corpus[i / codecs.size()].series,
+                              codecs[i % codecs.size()], 0.05, CorpusCusum());
+      if (got.ok()) {
+        out[i] = std::move(*got);
+      } else {
+        ADD_FAILURE() << "cell " << i << ": " << got.status().ToString();
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) pool.emplace_back(work);
+  for (std::thread& t : pool) t.join();
+  return out;
+}
+
+// The worker count never changes what a stream computes: the blobs, alarms
+// and segment counts on one thread equal those on two.
+TEST(DriftCorpusTest, ResultsOnOneThreadEqualTwoThreads) {
+  const std::vector<bench::DriftCase> corpus = bench::MakeDriftCorpus();
+  const std::vector<bench::StreamDetection> one = DetectCorpus(corpus, 1);
+  const std::vector<bench::StreamDetection> two = DetectCorpus(corpus, 2);
+  ASSERT_EQ(one.size(), two.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].blob, two[i].blob) << "cell " << i;
+    EXPECT_EQ(one[i].alarms, two[i].alarms) << "cell " << i;
+    EXPECT_EQ(one[i].segments, two[i].segments) << "cell " << i;
+  }
 }
 
 }  // namespace

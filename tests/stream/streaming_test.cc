@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
 #include "compress/pipeline.h"
 #include "conform/corpus.h"
 #include "conform/stream_oracle.h"
@@ -88,6 +89,11 @@ TEST(StreamingCompressorTest, FlushMatchesBatchAcrossCorpusFamilies) {
       EXPECT_EQ(StreamBlob(codec, c.series, 0.05),
                 BatchBlob(codec, c.series, 0.05))
           << codec << " " << c.family << "#" << c.index;
+    }
+    for (const bench::DriftCase& c : bench::MakeDriftCorpus()) {
+      EXPECT_EQ(StreamBlob(codec, c.series, 0.05),
+                BatchBlob(codec, c.series, 0.05))
+          << codec << " " << c.name;
     }
   }
 }

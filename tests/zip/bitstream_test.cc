@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "oracles/bitstream.h"
+
 namespace lossyts::zip {
 namespace {
 
@@ -177,7 +179,7 @@ TEST(BitstreamTest, RandomOpsMatchReferenceWriter) {
   std::mt19937_64 rng(1234);
   for (int trial = 0; trial < 50; ++trial) {
     BitWriter fast;
-    ReferenceBitWriter ref;
+    oracles::ReferenceBitWriter ref;
     const int ops = 1 + static_cast<int>(rng() % 60);
     for (int op = 0; op < ops; ++op) {
       switch (rng() % 6) {
@@ -242,7 +244,7 @@ TEST(BitstreamTest, RandomOpsMatchReferenceReader) {
     for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
 
     BitReader fast(bytes);
-    ReferenceBitReader ref(bytes);
+    oracles::ReferenceBitReader ref(bytes);
     bool dead = false;
     for (int op = 0; op < 80 && !dead; ++op) {
       switch (rng() % 5) {

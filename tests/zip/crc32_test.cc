@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/crc32.h"
+
 namespace lossyts::zip {
 namespace {
 
@@ -53,7 +55,8 @@ TEST(Crc32Test, DispatchedKernelMatchesReferenceByteLoop) {
   for (size_t size : sizes) {
     for (size_t offset = 0; offset < 8; ++offset) {
       const uint8_t* data = buffer.data() + offset;
-      EXPECT_EQ(ComputeCrc32({data, size}), ComputeCrc32Reference({data, size}))
+      EXPECT_EQ(ComputeCrc32({data, size}),
+                oracles::ReferenceCrc32({data, size}))
           << "size " << size << " offset " << offset;
     }
   }

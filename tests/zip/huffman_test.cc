@@ -14,6 +14,7 @@
 #include "compress/serde.h"
 #include "compress/sz.h"
 #include "core/rng.h"
+#include "oracles/huffman.h"
 
 namespace lossyts::zip {
 namespace {
@@ -176,7 +177,7 @@ TEST(HuffmanTest, LutDecodeMatchesReferenceOnDeepCodes) {
   BitReader ref_reader(bytes);
   for (int expected : message) {
     Result<int> a = decoder.Decode(lut_reader);
-    Result<int> b = decoder.DecodeReference(ref_reader);
+    Result<int> b = oracles::ReferenceHuffmanDecode(*lengths, ref_reader);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(*a, expected);
@@ -202,7 +203,7 @@ TEST(HuffmanTest, LutDecodeMatchesReferenceOnGarbageStreams) {
     BitReader ref_reader(bytes);
     for (int step = 0; step < 200; ++step) {
       Result<int> a = decoder.Decode(lut_reader);
-      Result<int> b = decoder.DecodeReference(ref_reader);
+      Result<int> b = oracles::ReferenceHuffmanDecode(*lengths, ref_reader);
       ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial << " step " << step;
       if (!a.ok()) {
         ASSERT_EQ(a.status().code(), b.status().code())
@@ -244,7 +245,7 @@ TEST(HuffmanTest, TruncatedStreamIsOutOfRangeCorruptPrefixIsCorruption) {
     BitReader lut_reader({});
     BitReader ref_reader({});
     Result<int> a = decoder.Decode(lut_reader);
-    Result<int> b = decoder.DecodeReference(ref_reader);
+    Result<int> b = oracles::ReferenceHuffmanDecode(lengths, ref_reader);
     ASSERT_FALSE(a.ok());
     ASSERT_FALSE(b.ok());
     EXPECT_EQ(a.status().code(), b.status().code());
@@ -437,7 +438,7 @@ TEST(HuffmanTest, PairBuildMatchesDenseBuild) {
       for (int step = 0; step < 400; ++step) {
         Result<int> x = dense.Decode(r_dense);
         Result<int> y = sparse.Decode(r_sparse);
-        Result<int> z = sparse.DecodeReference(r_ref);
+        Result<int> z = oracles::ReferenceHuffmanDecode(dense_lengths, r_ref);
         ASSERT_EQ(x.ok(), y.ok()) << "trial " << trial << " step " << step;
         ASSERT_EQ(x.ok(), z.ok()) << "trial " << trial << " step " << step;
         if (!x.ok()) {
@@ -485,10 +486,12 @@ struct DecodeTrace {
 enum class DecodePath { kDecode, kReference, kMany, kManyPieces };
 
 // Decodes up to `count` symbols of `bytes` along `path`, stopping at the
-// first failure. kManyPieces splits the count into random-sized DecodeMany
-// calls; the many paths also check that nothing past the failing symbol was
-// written.
+// first failure; kReference decodes with the oracle over `lengths`, the
+// code `decoder` was built from. kManyPieces splits the count into
+// random-sized DecodeMany calls; the many paths also check that nothing past
+// the failing symbol was written.
 DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
+                        const std::vector<int>& lengths,
                         const std::vector<uint8_t>& bytes, size_t count,
                         DecodePath path, Rng& rng) {
   DecodeTrace trace;
@@ -497,7 +500,7 @@ DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
     for (size_t i = 0; i < count; ++i) {
       Result<int> sym = path == DecodePath::kDecode
                             ? decoder.Decode(reader)
-                            : decoder.DecodeReference(reader);
+                            : oracles::ReferenceHuffmanDecode(lengths, reader);
       if (!sym.ok()) {
         trace.status = sym.status().ToString();
         break;
@@ -531,7 +534,7 @@ DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
 // Differential check of the batched decode: over seeded random codes (every
 // length 1..15, single-symbol codes, SZ's 65,537-symbol alphabet with its
 // escape symbol) and over clean, truncated, bit-flipped and random streams,
-// DecodeMany (whole or in pieces), repeated Decode and DecodeReference give
+// DecodeMany (whole or in pieces), repeated Decode and the oracle give
 // the same symbols, the same status code and message, and leave the reader
 // at the same RemainingBits and BytesConsumed.
 TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
@@ -578,8 +581,8 @@ TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
     ASSERT_TRUE(decoder.Init(code, alphabet).ok()) << "trial " << trial;
     for (const SymbolLength& p : code) saw_length[p.length] = true;
 
-    const std::vector<uint32_t> codes =
-        CanonicalCodes(DenseFromPairs(code, alphabet));
+    const std::vector<int> lengths = DenseFromPairs(code, alphabet);
+    const std::vector<uint32_t> codes = CanonicalCodes(lengths);
     const size_t message_size = rng.UniformInt(300);
     BitWriter writer;
     for (size_t i = 0; i < message_size; ++i) {
@@ -601,12 +604,13 @@ TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
          {&clean, &truncated, &flipped, &garbage}) {
       // Past the message, so every stream ends in a failure.
       const size_t count = message_size + 1 + rng.UniformInt(20);
-      const DecodeTrace expected =
-          TraceDecode(decoder, *bytes, count, DecodePath::kReference, rng);
+      const DecodeTrace expected = TraceDecode(decoder, lengths, *bytes, count,
+                                               DecodePath::kReference, rng);
       if (expected.status != "OK") ++failures;
       for (DecodePath path : {DecodePath::kDecode, DecodePath::kMany,
                               DecodePath::kManyPieces}) {
-        const DecodeTrace got = TraceDecode(decoder, *bytes, count, path, rng);
+        const DecodeTrace got =
+            TraceDecode(decoder, lengths, *bytes, count, path, rng);
         ASSERT_TRUE(got == expected)
             << "trial " << trial << " path " << static_cast<int>(path)
             << ": " << got.status << " after " << got.symbols.size()

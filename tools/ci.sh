@@ -51,6 +51,23 @@ serve_smoke() {
       "${bin}" client "${sock}" read smoke 0 100000 >/dev/null
     done
     "${bin}" client "${sock}" stats >/dev/null
+    # A value or interval that is not a whole, finite number is a usage
+    # error (exit 2) and nothing reaches the daemon: the series stays unknown.
+    local bad status
+    for bad in "0 60 1.5,abc,2x" "0 60x 1.5"; do
+      status=0
+      # ${bad} is unquoted on purpose: it holds three arguments.
+      "${bin}" client "${sock}" append rejected ${bad} >/dev/null 2>&1 \
+        || status=$?
+      if [[ "${status}" -ne 2 ]]; then
+        echo "serve_smoke: 'append rejected ${bad}' exited ${status}, wanted 2"
+        return 1
+      fi
+    done
+    if "${bin}" client "${sock}" read rejected 0 100000 >/dev/null 2>&1; then
+      echo "serve_smoke: a rejected append stored points"
+      return 1
+    fi
     # Burst feeder: one point per op, value == index; it records every ack,
     # and the daemon is killed -9 while the stream is live.
     local acked_file="${catalog}.acked"
@@ -176,28 +193,15 @@ query_smoke() {
     "$(wc -l <"${qdir}/win_j1.txt") lines)"
 }
 
-# Streaming smoke, run in every leg: first the self-checking micro_stream
-# harness (streamed Flush vs batch byte-identity, online alarms == offline
-# change detection, detection-recall and ingest-ratio floors, cross---jobs
-# result identity), then the online forecasting loop on a real dataset via
-# `lossyts stream`, and finally a serve round trip with per-series streaming
-# state enabled: append over the socket, read StreamInfo, restart the
-# daemon, and require the state rebuilt from the WAL/checkpoint to match.
-# LOSSYTS_STREAM_ITERS scales micro_stream's best-of timing trials
-# (default 3). The 0.5x streaming/batch ingest-ratio floor binds only in the
-# plain leg. A sanitizer instruments the stream's per-point member state but
-# leaves the batch loop's registers alone, so under ASan, UBSan and TSan the
-# ratio measures the instrumentation (0.13-0.59 measured), not the codec.
-# Those legs set LOSSYTS_MICRO_STREAM_RATIO=0, which turns off only the
-# ratio floor; every identity, recall and --jobs check still runs.
+# Streaming smoke, run in every leg: the online forecasting loop on a real
+# dataset via `lossyts stream`, then a serve round trip with per-series
+# streaming state enabled: append over the socket, read StreamInfo, restart
+# the daemon, and require the state rebuilt from the WAL/checkpoint to
+# match. The drift-corpus checks (streamed Flush == batch, online alarms ==
+# offline, recall, one thread == two) are ctest cases in every leg.
 stream_smoke() {
-  local dir="$1" sanitize="$2"
+  local dir="$1"
   local bin="${dir}/tools/lossyts"
-  if [[ -n "${sanitize}" ]]; then
-    LOSSYTS_MICRO_STREAM_RATIO=0 "${dir}/bench/micro_stream"
-  else
-    "${dir}/bench/micro_stream"
-  fi
   "${bin}" stream Solar --codec PMC --eb 0.05 --detector level-ph \
     --no-retrain >/dev/null
   local catalog="${dir}/stream_smoke"
@@ -345,6 +349,22 @@ span_guard() {
   echo "span_guard: every byte-buffer parameter in src/ headers is a std::span"
 }
 
+# Test oracles live in tests/oracles (lossyts_oracles), plain leg only: src/
+# may not name the bit-at-a-time bit stream, Huffman, CRC-32 or Gorilla/Chimp
+# reference coders, which would ship a second, slow copy of a format in the
+# library.
+oracle_guard() {
+  local hits
+  hits="$(grep -rnE 'ReferenceBit(Writer|Reader)|DecodeReference|ComputeCrc32Reference|Reference(Gorilla|Chimp)' \
+    "${ROOT}/src" || true)"
+  if [[ -n "${hits}" ]]; then
+    echo "oracle_guard: a test oracle named in src/:"
+    echo "${hits}"
+    return 1
+  fi
+  echo "oracle_guard: src/ names no test oracle"
+}
+
 run_config() {
   local name="$1" sanitize="$2" filter="${3:-}"
   local dir="${BUILD_ROOT}/${name}"
@@ -358,6 +378,7 @@ run_config() {
     seam_guard
     frame_guard
     span_guard
+    oracle_guard
   fi
   cmake -B "${dir}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DLOSSYTS_SANITIZE="${sanitize}" -DCMAKE_CXX_FLAGS="${cxx_flags}"
@@ -406,10 +427,15 @@ run_config() {
   fi
   if [[ -z "${sanitize}" ]]; then
     sweep_smoke "${dir}"
+    # Self-relative speed floors (codec vs reference coders, pushdown vs
+    # decode, query vs naive loop, serve p99, streaming vs batch ingest).
+    # Plain leg only: a sanitizer slows the two sides of a ratio unequally,
+    # so there it would measure the instrumentation, not the code.
+    "${dir}/bench/speed_floors"
   fi
   serve_smoke "${dir}"
   query_smoke "${dir}"
-  stream_smoke "${dir}" "${sanitize}"
+  stream_smoke "${dir}"
 }
 
 # Cross-ISA identity leg: rebuild for x86-64-v3 (AVX2 + FMA), where the
@@ -440,13 +466,14 @@ UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
 # reporter, the artifact store, the parallel-vs-sequential grid tests, and
 # the serve-daemon/store reader-vs-writer races, the per-series stream
-# state that shards advance under their mutex, the process-wide raw-size
+# state that shards advance under their mutex, the drift-corpus streams run
+# on one and on two threads, the process-wide raw-size
 # memo behind compress::RunPipeline, one fitted forecaster shared by
 # concurrent Predict/PredictBatch calls, and the ordered pipeline's
 # decode-to-fold hand-off (its own tests and the grouped query's) exercise
 # every cross-thread edge, and a full TSan run of the NN training tests
 # would dominate CI time without touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|OrderedPipelineTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|PipelineConcurrencyTest|ForecastConcurrencyTest|QueryTest|QueryGoldenTest|QueryPrecedenceTest'
+  'ThreadPoolTest|OrderedPipelineTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|DriftCorpusTest|PipelineConcurrencyTest|ForecastConcurrencyTest|QueryTest|QueryGoldenTest|QueryPrecedenceTest'
 
 echo "=== ci.sh: all configurations passed ==="

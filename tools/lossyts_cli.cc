@@ -18,6 +18,7 @@
 #include <csignal>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "compress/pipeline.h"
 #include "conform/harness.h"
@@ -104,6 +107,28 @@ int Usage() {
   return 2;
 }
 
+// Reads `text` as the number the argument `name` stands for. The whole
+// token must parse, an integer must fit T and a double must be finite. On
+// anything else it prints a usage line naming the argument and exits 2;
+// every command parses its numbers before it sends or writes anything.
+template <typename T>
+T ParseNumber(const char* name, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "usage: lossyts: %s takes %s, got '%.*s'\n", name,
+                 std::is_floating_point_v<T> ? "a finite number"
+                                             : "an integer in range",
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return value;
+}
+
 Result<TimeSeries> LoadSeries(const std::string& arg) {
   for (const std::string& name : data::DatasetNames()) {
     if (name == arg) {
@@ -148,7 +173,7 @@ int Compress(const std::string& codec_name, const std::string& eb_text,
     std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
     return 1;
   }
-  const double eb = std::strtod(eb_text.c_str(), nullptr);
+  const double eb = ParseNumber<double>("<eb>", eb_text);
   Result<std::vector<uint8_t>> blob = (*codec)->Compress(*series, eb);
   if (!blob.ok()) {
     std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
@@ -289,11 +314,11 @@ int Grid(int argc, char** argv) {
     } else if (arg == "--retries") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.max_cell_retries = std::atoi(v);
+      options.max_cell_retries = ParseNumber<int>("--retries", v);
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
+      options.jobs = ParseNumber<int>("--jobs", v);
     } else if (arg == "--datasets") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -311,14 +336,15 @@ int Grid(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.error_bounds.clear();
       for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
+        options.error_bounds.push_back(
+            ParseNumber<double>("--error-bounds", eb));
       }
     } else if (arg == "--seeds") {
       const char* v = next();
       if (v == nullptr) return Usage();
       options.seeds.clear();
       for (const std::string& seed : SplitList(v)) {
-        options.seeds.push_back(std::strtoull(seed.c_str(), nullptr, 10));
+        options.seeds.push_back(ParseNumber<uint64_t>("--seeds", seed));
       }
     } else if (arg == "--metrics") {
       const char* v = next();
@@ -378,11 +404,11 @@ int Conform(int argc, char** argv) {
     if (arg == "--cases") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.cases_per_family = std::atoi(v);
+      options.cases_per_family = ParseNumber<int>("--cases", v);
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
+      options.base_seed = ParseNumber<uint64_t>("--seed", v);
     } else if (arg == "--codecs") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -392,18 +418,19 @@ int Conform(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.error_bounds.clear();
       for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
+        options.error_bounds.push_back(
+            ParseNumber<double>("--error-bounds", eb));
       }
     } else if (arg == "--bit-flips") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.random_bit_flips = std::atoi(v);
+      options.random_bit_flips = ParseNumber<int>("--bit-flips", v);
     } else if (arg == "--no-mutate") {
       options.mutate = false;
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
+      options.jobs = ParseNumber<int>("--jobs", v);
     } else {
       return Usage();
     }
@@ -437,11 +464,11 @@ int Numcheck(int argc, char** argv) {
     if (arg == "--iters") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.iters = std::atoi(v);
+      options.iters = ParseNumber<int>("--iters", v);
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
+      options.base_seed = ParseNumber<uint64_t>("--seed", v);
     } else if (arg == "--ops") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -457,7 +484,7 @@ int Numcheck(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
+      options.jobs = ParseNumber<int>("--jobs", v);
     } else {
       return Usage();
     }
@@ -494,12 +521,12 @@ int StoreIngest(int argc, char** argv) {
   if (argc < 7) return Usage();
   store::StoreOptions options;
   options.codecs = SplitList(argv[3]);
-  options.error_bound = std::strtod(argv[4], nullptr);
+  options.error_bound = ParseNumber<double>("<eb>", argv[4]);
   const std::string in_path = argv[5];
   const std::string out_path = argv[6];
   for (int i = 7; i < argc; ++i) {
     if (std::string(argv[i]) == "--span" && i + 1 < argc) {
-      options.chunk_span = static_cast<uint32_t>(std::atoi(argv[++i]));
+      options.chunk_span = ParseNumber<uint32_t>("--span", argv[++i]);
     } else {
       return Usage();
     }
@@ -555,14 +582,14 @@ int StoreQuery(int argc, char** argv) {
   store::AggregateOptions options;
   int i = 5;
   if (i + 1 < argc && argv[i][0] != '-') {
-    t0 = std::strtoll(argv[i], nullptr, 10);
-    t1 = std::strtoll(argv[i + 1], nullptr, 10);
+    t0 = ParseNumber<int64_t>("<t0>", argv[i]);
+    t1 = ParseNumber<int64_t>("<t1>", argv[i + 1]);
     i += 2;
   }
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = std::atoi(argv[++i]);
+      options.jobs = ParseNumber<int>("--jobs", argv[++i]);
     } else if (arg == "--no-pushdown") {
       options.allow_pushdown = false;
     } else {
@@ -764,7 +791,8 @@ int StoreIngestGrid(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.error_bounds.clear();
       for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
+        options.error_bounds.push_back(
+            ParseNumber<double>("--error-bounds", eb));
       }
     } else {
       return Usage();
@@ -795,19 +823,19 @@ int StreamCmd(int argc, char** argv) {
     if (arg == "--codec" && (v = next())) {
       options.codec = v;
     } else if (arg == "--eb" && (v = next())) {
-      options.error_bound = std::strtod(v, nullptr);
+      options.error_bound = ParseNumber<double>("--eb", v);
     } else if (arg == "--model" && (v = next())) {
       options.model = v;
     } else if (arg == "--metrics" && (v = next())) {
       options.metrics = SplitList(v);
     } else if (arg == "--seed" && (v = next())) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      options.seed = ParseNumber<uint64_t>("--seed", v);
     } else if (arg == "--initial-train" && (v = next())) {
-      options.initial_train = static_cast<size_t>(std::atoi(v));
+      options.initial_train = ParseNumber<size_t>("--initial-train", v);
     } else if (arg == "--retrain-window" && (v = next())) {
-      options.retrain_window = static_cast<size_t>(std::atoi(v));
+      options.retrain_window = ParseNumber<size_t>("--retrain-window", v);
     } else if (arg == "--rolling-window" && (v = next())) {
-      options.rolling_window = static_cast<size_t>(std::atoi(v));
+      options.rolling_window = ParseNumber<size_t>("--rolling-window", v);
     } else if (arg == "--no-retrain") {
       options.retrain_on_drift = false;
     } else if (arg == "--detector" && (v = next())) {
@@ -904,29 +932,31 @@ int Serve(int argc, char** argv) {
     if (arg == "--socket" && (v = next())) {
       options.socket_path = v;
     } else if (arg == "--shards" && (v = next())) {
-      options.shards = static_cast<uint32_t>(std::atoi(v));
+      options.shards = ParseNumber<uint32_t>("--shards", v);
     } else if (arg == "--jobs" && (v = next())) {
-      options.jobs = std::atoi(v);
+      options.jobs = ParseNumber<int>("--jobs", v);
     } else if (arg == "--eb" && (v = next())) {
-      options.shard.error_bound = std::strtod(v, nullptr);
+      options.shard.error_bound = ParseNumber<double>("--eb", v);
     } else if (arg == "--span" && (v = next())) {
-      options.shard.chunk_span = static_cast<uint32_t>(std::atoi(v));
+      options.shard.chunk_span = ParseNumber<uint32_t>("--span", v);
     } else if (arg == "--codecs" && (v = next())) {
       options.shard.codecs = SplitList(v);
     } else if (arg == "--no-sync") {
       options.shard.sync = false;
     } else if (arg == "--flush-wal-bytes" && (v = next())) {
-      options.shard.flush_wal_bytes = std::strtoull(v, nullptr, 10);
+      options.shard.flush_wal_bytes =
+          ParseNumber<uint64_t>("--flush-wal-bytes", v);
     } else if (arg == "--max-queue" && (v = next())) {
-      options.max_queue_ops = static_cast<size_t>(std::atoi(v));
+      options.max_queue_ops = ParseNumber<size_t>("--max-queue", v);
     } else if (arg == "--deadline-ms" && (v = next())) {
-      options.append_deadline_ms = std::atoi(v);
+      options.append_deadline_ms = ParseNumber<int>("--deadline-ms", v);
     } else if (arg == "--client-timeout-ms" && (v = next())) {
-      options.client_timeout_ms = std::atoi(v);
+      options.client_timeout_ms =
+          ParseNumber<int>("--client-timeout-ms", v);
     } else if (arg == "--stream" && (v = next())) {
       options.shard.stream_codec = v;
     } else if (arg == "--stream-eb" && (v = next())) {
-      options.shard.stream_error_bound = std::strtod(v, nullptr);
+      options.shard.stream_error_bound = ParseNumber<double>("--stream-eb", v);
     } else {
       return Usage();
     }
@@ -986,12 +1016,13 @@ int ClientCmd(int argc, char** argv) {
     return 0;
   }
   if (sub == "append" && argc == 8) {
+    const int64_t t0 = ParseNumber<int64_t>("<t0>", argv[5]);
+    const int32_t interval = ParseNumber<int32_t>("<interval>", argv[6]);
     std::vector<double> values;
     for (const std::string& v : SplitList(argv[7])) {
-      values.push_back(std::strtod(v.c_str(), nullptr));
+      values.push_back(ParseNumber<double>("<v1,v2,..>", v));
     }
-    Status s = (*client)->Append(argv[4], std::strtoll(argv[5], nullptr, 10),
-                                 std::atoi(argv[6]), values);
+    Status s = (*client)->Append(argv[4], t0, interval, values);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -1000,9 +1031,9 @@ int ClientCmd(int argc, char** argv) {
     return 0;
   }
   if (sub == "read" && argc == 7) {
-    Result<TimeSeries> series =
-        (*client)->ReadRange(argv[4], std::strtoll(argv[5], nullptr, 10),
-                             std::strtoll(argv[6], nullptr, 10));
+    const int64_t t0 = ParseNumber<int64_t>("<t0>", argv[5]);
+    const int64_t t1 = ParseNumber<int64_t>("<t1>", argv[6]);
+    Result<TimeSeries> series = (*client)->ReadRange(argv[4], t0, t1);
     if (!series.ok()) {
       std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
       return 1;
@@ -1080,14 +1111,14 @@ int ClientCmd(int argc, char** argv) {
         const char* a = next();
         const char* b = next();
         if (a == nullptr || b == nullptr) return Usage();
-        spec.t0 = std::strtoll(a, nullptr, 10);
-        spec.t1 = std::strtoll(b, nullptr, 10);
+        spec.t0 = ParseNumber<int64_t>("--range <t0>", a);
+        spec.t1 = ParseNumber<int64_t>("--range <t1>", b);
       } else if (arg == "--match" && (v = next())) {
         spec.match = v;
       } else if (arg == "--pred-suffix" && (v = next())) {
         spec.pred_suffix = v;
       } else if (arg == "--season" && (v = next())) {
-        spec.season_length = std::atoi(v);
+        spec.season_length = ParseNumber<int32_t>("--season", v);
       } else {
         return Usage();
       }
@@ -1158,16 +1189,16 @@ int QueryCmd(int argc, char** argv) {
       const char* a = next();
       const char* b = next();
       if (a == nullptr || b == nullptr) return Usage();
-      options.t0 = std::strtoll(a, nullptr, 10);
-      options.t1 = std::strtoll(b, nullptr, 10);
+      options.t0 = ParseNumber<int64_t>("--range <t0>", a);
+      options.t1 = ParseNumber<int64_t>("--range <t1>", b);
     } else if (arg == "--jobs" && (v = next())) {
-      options.jobs = std::atoi(v);
+      options.jobs = ParseNumber<int>("--jobs", v);
     } else if (arg == "--match" && (v = next())) {
       options.match = v;
     } else if (arg == "--pred-suffix" && (v = next())) {
       options.pred_suffix = v;
     } else if (arg == "--season" && (v = next())) {
-      options.season_length = std::atoi(v);
+      options.season_length = ParseNumber<int>("--season", v);
     } else {
       return Usage();
     }
