@@ -7,12 +7,12 @@
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "compress/pipeline.h"
 #include "core/progress.h"
 #include "core/seed.h"
 #include "core/thread_pool.h"
-#include "eval/artifact_store.h"
 #include "eval/checkpoint.h"
 #include "eval/grid_stages.h"
 #include "forecast/registry.h"
@@ -91,35 +91,56 @@ class RecordChannel {
 // counter (fit, plus transform for compressed cells) and is scheduled the
 // moment its last input artifact is published. Salvaged cells have no node:
 // their records are spliced straight into the canonical output slot.
+//
+// Each node holds the artifact its stage produces. The task that computes
+// it writes the pointer before it schedules dependents (datasets) or
+// decrements their counters with acq_rel (transforms, fits), so a cell reads
+// its inputs through its node indices without a lock.
 struct CellNode {
   CellSpec spec;
-  size_t fit = 0;        // Index into GridPlan::fits.
-  size_t transform = 0;  // Index into GridPlan::transforms; unused for baseline.
+  size_t slot = 0;       // Index into the output records.
+  size_t fit = 0;        // Index into the fit nodes.
+  size_t transform = 0;  // Index into the transform nodes; unused for baseline.
 };
 
 struct TransformNode {
-  size_t dataset = 0;  // Index into GridPlan::datasets.
-  std::string key;     // dataset|compressor|eb
+  size_t dataset = 0;  // Index into the dataset nodes.
   std::string compressor;
   double error_bound = 0.0;
   std::vector<size_t> cells;  // Dependent cell indices.
+  std::shared_ptr<const TransformArtifact> artifact;
 };
 
 struct FitNode {
   size_t dataset = 0;
-  std::string key;  // dataset|model|seed
   std::string model;
   uint64_t seed = 0;
   const GridRecord* salvaged_baseline = nullptr;
   std::vector<size_t> cells;  // Every missing cell of the group.
+  std::shared_ptr<const FitArtifact> artifact;
 };
 
+// A dataset is loaded only when it has a fit node: every missing cell
+// belongs to one.
 struct DatasetNode {
-  std::string name;
-  bool needed = false;
   std::vector<size_t> transforms;
   std::vector<size_t> fits;
+  std::shared_ptr<const DatasetArtifact> artifact;
 };
+
+// InvalidArgument naming `list` and its first repeated entry, or OK. Entries
+// are compared as CellKey spells them, since a repeat would emit cells the
+// checkpoint takes for one.
+Status RejectRepeats(const char* list, const std::vector<std::string>& values) {
+  std::unordered_set<std::string> seen;
+  for (const std::string& value : values) {
+    if (!seen.insert(value).second) {
+      return Status::InvalidArgument(std::string("grid option '") + list +
+                                     "' repeats " + value);
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -161,17 +182,29 @@ Result<std::vector<GridRecord>> RunGridResumable(
                                    : options.error_bounds;
   const int max_attempts = 1 + std::max(0, options.max_cell_retries);
 
-  // Unknown compressor names are configuration errors that would fail every
-  // transform identically; reject them before any work is scheduled.
+  // Configuration errors would fail every cell they touch identically, so
+  // they are all found before any work is scheduled; only a dataset that
+  // fails to load (it depends on options.data, not just its name) surfaces
+  // after the drain.
+  std::vector<std::string> bound_texts;
+  for (double eb : error_bounds) AppendG17(bound_texts.emplace_back(), eb);
+  std::vector<std::string> seed_texts;
+  for (uint64_t seed : options.seeds) seed_texts.push_back(std::to_string(seed));
+  for (const Status& repeats :
+       {RejectRepeats("datasets", datasets), RejectRepeats("models", models),
+        RejectRepeats("compressors", compressors),
+        RejectRepeats("error_bounds", bound_texts),
+        RejectRepeats("seeds", seed_texts)}) {
+    if (!repeats.ok()) return repeats;
+  }
   for (const std::string& name : compressors) {
     Result<std::unique_ptr<compress::Compressor>> compressor =
         compress::MakeCompressor(name);
     if (!compressor.ok()) return compressor.status();
   }
-  // Same for the metric list: every cell evaluates the same resolved names,
-  // so an unknown metric — or one the grid cannot feed (coverage needs
-  // prediction intervals; cells produce point forecasts) — is a
-  // configuration error, not a per-cell failure.
+  // Every cell evaluates the same resolved metric names, so an unknown
+  // metric — or one the grid cannot feed (coverage needs prediction
+  // intervals; cells produce point forecasts) — is a configuration error.
   Result<std::vector<std::string>> resolved_metrics =
       ResolveMetricNames(options.metrics);
   if (!resolved_metrics.ok()) return resolved_metrics.status();
@@ -184,6 +217,11 @@ Result<std::vector<GridRecord>> RunGridResumable(
           "metric '" + name +
           "' needs prediction intervals; the grid evaluates point forecasts");
     }
+  }
+  for (const std::string& name : models) {
+    Result<std::unique_ptr<forecast::Forecaster>> model =
+        forecast::MakeForecaster(name, options.forecast);
+    if (!model.ok()) return model.status();
   }
 
   std::unordered_map<std::string, size_t> done;
@@ -204,67 +242,55 @@ Result<std::vector<GridRecord>> RunGridResumable(
   std::vector<FitNode> fits;
   std::vector<DatasetNode> dataset_nodes(datasets.size());
   std::vector<GridRecord> results;
-  std::vector<char> missing;  // Parallel to results: 1 = has a CellNode.
 
-  std::unordered_map<std::string, size_t> transform_index;
+  constexpr size_t kNoTransform = static_cast<size_t>(-1);
   for (size_t di = 0; di < datasets.size(); ++di) {
     const std::string& dataset_name = datasets[di];
     DatasetNode& dnode = dataset_nodes[di];
-    dnode.name = dataset_name;
+    // This dataset's transform node per (compressor, bound) position, made
+    // by the first missing cell that needs it.
+    std::vector<size_t> transform_at(compressors.size() * error_bounds.size(),
+                                     kNoTransform);
     for (const std::string& model_name : models) {
       for (uint64_t seed : options.seeds) {
-        const size_t fit_index = fits.size();
         FitNode fnode;
         fnode.dataset = di;
-        fnode.key = dataset_name + '|' + model_name + '|' +
-                    std::to_string(seed);
         fnode.model = model_name;
         fnode.seed = seed;
         fnode.salvaged_baseline =
             salvaged(dataset_name, model_name, "NONE", 0.0, seed);
 
         auto add_cell = [&](const std::string& compressor, double eb,
-                            const GridRecord* existing_record) {
+                            size_t position) {
+          const GridRecord* existing_record =
+              salvaged(dataset_name, model_name, compressor, eb, seed);
           if (existing_record != nullptr) {
             results.push_back(*existing_record);
-            missing.push_back(0);
             return;
           }
           CellNode cell;
           cell.spec = {dataset_name, model_name, compressor, eb, seed};
-          cell.fit = fit_index;
-          if (compressor != "NONE") {
-            const std::string tkey = [&] {
-              char suffix[32];
-              std::snprintf(suffix, sizeof(suffix), "|%.17g", eb);
-              return dataset_name + '|' + compressor + suffix;
-            }();
-            auto [it, inserted] =
-                transform_index.emplace(tkey, transforms.size());
-            if (inserted) {
-              TransformNode tnode;
-              tnode.dataset = di;
-              tnode.key = tkey;
-              tnode.compressor = compressor;
-              tnode.error_bound = eb;
-              transforms.push_back(std::move(tnode));
+          cell.slot = results.size();
+          cell.fit = fits.size();
+          if (!cell.spec.is_baseline()) {
+            if (transform_at[position] == kNoTransform) {
+              transform_at[position] = transforms.size();
+              dnode.transforms.push_back(transforms.size());
+              transforms.push_back({di, compressor, eb, {}, nullptr});
             }
-            cell.transform = it->second;
-            transforms[it->second].cells.push_back(results.size());
+            cell.transform = transform_at[position];
+            transforms[cell.transform].cells.push_back(cells.size());
           }
-          fnode.cells.push_back(results.size());
+          fnode.cells.push_back(cells.size());
           results.emplace_back();
-          missing.push_back(1);
           cells.push_back(std::move(cell));
-          dnode.needed = true;
         };
 
-        add_cell("NONE", 0.0, fnode.salvaged_baseline);
-        for (const std::string& compressor_name : compressors) {
-          for (double eb : error_bounds) {
-            add_cell(compressor_name, eb,
-                     salvaged(dataset_name, model_name, compressor_name, eb,
-                              seed));
+        add_cell("NONE", 0.0, 0);
+        for (size_t c = 0; c < compressors.size(); ++c) {
+          for (size_t b = 0; b < error_bounds.size(); ++b) {
+            add_cell(compressors[c], error_bounds[b],
+                     c * error_bounds.size() + b);
           }
         }
         if (!fnode.cells.empty()) {
@@ -274,23 +300,8 @@ Result<std::vector<GridRecord>> RunGridResumable(
       }
     }
   }
-  // results/missing are parallel to the canonical cell positions, but
-  // `cells` holds only missing positions; map from cells -> result slots.
-  std::vector<size_t> cell_slot;
-  cell_slot.reserve(cells.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (missing[i]) cell_slot.push_back(i);
-  }
-  for (size_t ti = 0; ti < transforms.size(); ++ti) {
-    dataset_nodes[transforms[ti].dataset].transforms.push_back(ti);
-  }
 
-  // Dependency counters: fit, plus transform for compressed cells. The
-  // transform/fit nodes record *result-slot* indices; remap to cell indices.
-  std::unordered_map<size_t, size_t> slot_to_cell;
-  for (size_t ci = 0; ci < cell_slot.size(); ++ci) {
-    slot_to_cell.emplace(cell_slot[ci], ci);
-  }
+  // Dependency counters: fit, plus transform for compressed cells.
   std::vector<std::atomic<int>> deps(cells.size());
   for (size_t ci = 0; ci < cells.size(); ++ci) {
     deps[ci].store(cells[ci].spec.is_baseline() ? 1 : 2,
@@ -298,12 +309,8 @@ Result<std::vector<GridRecord>> RunGridResumable(
   }
 
   // ---- Execute on the shared pool. ----
-  ArtifactStore<DatasetArtifact> dataset_store;
-  ArtifactStore<TransformArtifact> transform_store;
-  ArtifactStore<FitArtifact> fit_store;
   RecordChannel channel(on_record);
   std::vector<Status> dataset_status(datasets.size());
-  std::vector<Status> fit_config_status(fits.size());
   std::atomic<bool> config_abort{false};
 
   ThreadPool pool(options.jobs);
@@ -313,104 +320,65 @@ Result<std::vector<GridRecord>> RunGridResumable(
       return;
     }
     const CellNode& cell = cells[ci];
-    std::shared_ptr<const DatasetArtifact> dataset =
-        dataset_store.Lookup(cell.spec.dataset);
-    std::shared_ptr<const FitArtifact> fit =
-        fit_store.Lookup(fits[cell.fit].key);
-    std::shared_ptr<const TransformArtifact> transform =
-        cell.spec.is_baseline()
-            ? nullptr
-            : transform_store.Lookup(transforms[cell.transform].key);
-    GridRecord record = EvaluateCellStage(cell.spec, options, *dataset, *fit,
-                                          transform.get(), metric_names);
+    const FitNode& fnode = fits[cell.fit];
+    const TransformArtifact* transform =
+        cell.spec.is_baseline() ? nullptr
+                                : transforms[cell.transform].artifact.get();
+    GridRecord record = EvaluateCellStage(
+        cell.spec, options, *dataset_nodes[fnode.dataset].artifact,
+        *fnode.artifact, transform, metric_names);
     channel.Emit(record);
-    results[cell_slot[ci]] = std::move(record);
+    results[cell.slot] = std::move(record);
   };
 
-  auto resolve_dep = [&](size_t slot) {
-    const size_t ci = slot_to_cell.at(slot);
+  auto resolve_dep = [&](size_t ci) {
     if (deps[ci].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       pool.Submit([&, ci] { run_cell(ci); });
     }
   };
 
   for (size_t di = 0; di < datasets.size(); ++di) {
-    if (!dataset_nodes[di].needed) continue;
+    if (dataset_nodes[di].fits.empty()) continue;
     pool.Submit([&, di] {
-      const DatasetNode& dnode = dataset_nodes[di];
-      std::shared_ptr<const DatasetArtifact> artifact =
-          dataset_store.GetOrCompute(dnode.name, [&] {
-            return LoadDatasetStage(dnode.name, options.data);
-          });
-      if (!artifact->status.ok()) {
+      DatasetNode& dnode = dataset_nodes[di];
+      dnode.artifact = std::make_shared<const DatasetArtifact>(
+          LoadDatasetStage(datasets[di], options.data));
+      if (!dnode.artifact->status.ok()) {
         // Unknown dataset / generation failure: configuration error. The
         // dataset's transforms, fits and cells are never scheduled; the
         // sweep reports this status after the pool drains.
-        dataset_status[di] = artifact->status;
+        dataset_status[di] = dnode.artifact->status;
         config_abort.store(true, std::memory_order_relaxed);
         return;
       }
       for (const size_t ti : dnode.transforms) {
         pool.Submit([&, ti] {
-          const TransformNode& tnode = transforms[ti];
-          transform_store.GetOrCompute(tnode.key, [&] {
-            return CompressAtBoundStage(
-                dataset_nodes[tnode.dataset].name, tnode.compressor,
-                tnode.error_bound,
-                dataset_store.Lookup(dataset_nodes[tnode.dataset].name)
-                    ->split.test,
-                options.store_dir, max_attempts, options.verbose);
-          });
-          for (const size_t slot : tnode.cells) resolve_dep(slot);
+          TransformNode& tnode = transforms[ti];
+          tnode.artifact =
+              std::make_shared<const TransformArtifact>(CompressAtBoundStage(
+                  datasets[tnode.dataset], tnode.compressor, tnode.error_bound,
+                  dataset_nodes[tnode.dataset].artifact->split.test,
+                  options.store_dir, max_attempts, options.verbose));
+          for (const size_t ci : tnode.cells) resolve_dep(ci);
         });
       }
       for (const size_t fi : dnode.fits) {
         pool.Submit([&, fi] {
-          const FitNode& fnode = fits[fi];
-          std::shared_ptr<const FitArtifact> fit =
-              fit_store.GetOrCompute(fnode.key, [&] {
-                return FitModelStage(
-                    fnode.model,
-                    *dataset_store.Lookup(dataset_nodes[fnode.dataset].name),
-                    options, fnode.seed, fnode.salvaged_baseline,
-                    metric_names);
-              });
-          if (fit->config_error) {
-            // Unknown model: configuration error; dependent cells are left
-            // unscheduled and the sweep aborts after the drain.
-            fit_config_status[fi] = fit->fit_status;
-            config_abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-          for (const size_t slot : fnode.cells) resolve_dep(slot);
+          FitNode& fnode = fits[fi];
+          fnode.artifact = std::make_shared<const FitArtifact>(FitModelStage(
+              fnode.model, *dataset_nodes[fnode.dataset].artifact, options,
+              fnode.seed, fnode.salvaged_baseline, metric_names));
+          for (const size_t ci : fnode.cells) resolve_dep(ci);
         });
       }
     });
   }
   pool.Wait();
 
-  if (options.verbose && !cells.empty()) {
-    // Artifact-cache effectiveness: how much sharing the DAG achieved. A
-    // miss is a computed artifact, a hit a reuse by a sibling cell.
-    Progress::Printf(
-        "[grid] artifact cache: datasets %llu hits / %llu misses, "
-        "transforms %llu hits / %llu misses, fits %llu hits / %llu misses\n",
-        static_cast<unsigned long long>(dataset_store.hits()),
-        static_cast<unsigned long long>(dataset_store.misses()),
-        static_cast<unsigned long long>(transform_store.hits()),
-        static_cast<unsigned long long>(transform_store.misses()),
-        static_cast<unsigned long long>(fit_store.hits()),
-        static_cast<unsigned long long>(fit_store.misses()));
-  }
-
-  // Configuration errors abort the sweep deterministically: the first
-  // failing dataset (then model) in canonical order wins, matching the
-  // sequential implementation's first-encountered semantics.
-  for (size_t di = 0; di < datasets.size(); ++di) {
-    if (!dataset_status[di].ok()) return dataset_status[di];
-  }
-  for (size_t fi = 0; fi < fits.size(); ++fi) {
-    if (!fit_config_status[fi].ok()) return fit_config_status[fi];
+  // A dataset that failed to load aborts the sweep deterministically: the
+  // first one in canonical order wins, whatever order the loads ran in.
+  for (const Status& status : dataset_status) {
+    if (!status.ok()) return status;
   }
   if (channel.failed()) return channel.status();
   return results;

@@ -115,21 +115,25 @@ std::string CellKey(const GridRecord& record);
 /// deterministic reseed so reruns of a sweep retry identically.
 uint64_t RetrySeed(uint64_t seed, int attempt);
 
-/// Runs Algorithm 1 over the whole grid as an artifact-keyed stage DAG
-/// (LoadDataset -> CompressAtBound -> FitModel -> EvaluateCell, see
-/// grid_stages.h) on a work-stealing pool of GridOptions::jobs threads: per
-/// dataset, the test split is transformed once per (compressor, error
-/// bound); per model and seed, one fit is trained on the raw train/val
-/// splits and shared — via the artifact store — by every cell that
-/// references it. Records are returned in canonical cell order regardless
-/// of completion order.
+/// Runs Algorithm 1 over the whole grid as a stage DAG (LoadDataset ->
+/// CompressAtBound -> FitModel -> EvaluateCell, see grid_stages.h) on a
+/// work-stealing pool of GridOptions::jobs threads: per dataset, the test
+/// split is transformed once per (compressor, error bound); per model and
+/// seed, one fit is trained on the raw train/val splits and shared — held
+/// by its DAG node — by every cell that references it. Records are returned
+/// in canonical cell order regardless of completion order.
 ///
 /// Failures are isolated per cell: a failed transform, fit or evaluation is
 /// retried (per GridOptions::max_cell_retries) and then recorded as a failed
 /// GridRecord without aborting sibling cells. Only configuration errors
-/// (unknown dataset/model/compressor names, unloadable datasets) abort the
-/// sweep, since every cell they touch would fail identically; with jobs > 1
-/// the first such error in canonical order is reported.
+/// abort the sweep, since every cell they touch would fail identically.
+/// These are found before any work is scheduled, in this order: a repeated
+/// entry in datasets, models, compressors, error_bounds or seeds
+/// (InvalidArgument naming the list and the value, a bound as %.17g), an
+/// unknown compressor, an unknown or interval-only metric, an unknown model.
+/// A dataset that fails to load is reported after the pool drains, the
+/// first in canonical order at any jobs. So when the options name both an
+/// unknown model and an unknown dataset, the model's error is reported.
 Result<std::vector<GridRecord>> RunGrid(const GridOptions& options);
 
 /// Resumable core of RunGrid. Cells whose CellKey appears in `existing` are

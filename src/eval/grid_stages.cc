@@ -153,9 +153,9 @@ FitArtifact FitModelStage(const std::string& model_name,
     Result<std::unique_ptr<forecast::Forecaster>> made =
         forecast::MakeForecaster(model_name, config);
     if (!made.ok()) {
-      // Unknown model: configuration error, aborts the sweep.
+      // Unknown model names are pre-validated by RunGridResumable, so this
+      // is unreachable there; standalone callers see it as a failed fit.
       artifact.fit_status = made.status();
-      artifact.config_error = true;
       return artifact;
     }
     if (options.verbose) {

@@ -14,17 +14,17 @@
 namespace lossyts::eval {
 
 // The evaluation grid decomposed into four explicit, separately-testable
-// stages, wired together by RunGridResumable as an artifact-keyed DAG:
+// stages, wired together by RunGridResumable as a DAG with one node per
+// artifact:
 //
 //   LoadDataset ──┬─> CompressAtBound ──┐
 //                 └─> FitModel ─────────┴─> EvaluateCell
 //
-// Stage outputs are immutable artifacts memoized in an ArtifactStore keyed
-// by the stage's identity (see artifact_store.h):
+// Stage outputs are immutable artifacts, each held by its DAG node:
 //
-//   DatasetArtifact    key = dataset
-//   TransformArtifact  key = dataset|compressor|eb
-//   FitArtifact        key = dataset|model|seed   (baseline metrics ride here)
+//   DatasetArtifact    one per dataset
+//   TransformArtifact  one per (dataset, compressor, eb)
+//   FitArtifact        one per (dataset, model, seed), with its baseline
 //
 // so a transform is computed once per (dataset, compressor, bound) and a fit
 // once per (dataset, model, seed), shared by every cell that references
@@ -77,9 +77,6 @@ struct FitArtifact {
   std::shared_ptr<const forecast::Forecaster> model;
   Status fit_status;
   int fit_attempts = 1;
-  /// True when MakeForecaster itself failed (unknown model name): a
-  /// configuration error that aborts the sweep rather than failing cells.
-  bool config_error = false;
 
   // Baseline evaluation (compressor = "NONE"): one value per resolved
   // metric name of the sweep.

@@ -5,20 +5,15 @@
 // keep working when the sweep runs on a thread pool.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/failpoint.h"
-#include "core/thread_pool.h"
-#include "eval/artifact_store.h"
 #include "eval/checkpoint.h"
 #include "eval/grid.h"
 
@@ -104,9 +99,9 @@ TEST_F(GridConcurrencyTest, FailedCellsAreByteIdenticalAcrossJobs) {
 
 TEST_F(GridConcurrencyTest, TransformComputedOncePerTriple) {
   // Arm the compress site far beyond any plausible hit count: nothing fires,
-  // but the armed counter tallies every RunPipeline call. With the artifact
-  // store each (dataset, compressor, bound) transform runs exactly once, not
-  // once per model that consumes it.
+  // but the armed counter tallies every RunPipeline call. The DAG holds one
+  // transform node per (dataset, compressor, bound), so each transform runs
+  // exactly once, not once per model that consumes it.
   FailPoints::Arm("compress", 1000000000, 1);
   Result<std::vector<GridRecord>> records = RunGrid(TinyGrid(4));
   ASSERT_TRUE(records.ok()) << records.status().ToString();
@@ -182,15 +177,20 @@ TEST_F(GridConcurrencyTest, CompleteCacheLoadsInCanonicalOrder) {
 }
 
 TEST_F(GridConcurrencyTest, ConfigErrorAbortsIdenticallyAcrossJobs) {
+  // An unknown model is found before any work is scheduled: the armed (never
+  // firing) compress site counts no transform at either parallelism.
+  FailPoints::Arm("compress", 1000000000, 1);
   GridOptions bad1 = TinyGrid(1);
   bad1.models = {"GBoost", "NoSuchModel"};
   Result<std::vector<GridRecord>> sequential = RunGrid(bad1);
   ASSERT_FALSE(sequential.ok());
+  EXPECT_EQ(FailPoints::HitCount("compress"), 0u);
 
   GridOptions bad8 = TinyGrid(8);
   bad8.models = {"GBoost", "NoSuchModel"};
   Result<std::vector<GridRecord>> parallel = RunGrid(bad8);
   ASSERT_FALSE(parallel.ok());
+  EXPECT_EQ(FailPoints::HitCount("compress"), 0u);
 
   EXPECT_EQ(sequential.status().code(), parallel.status().code());
   EXPECT_EQ(sequential.status().ToString(), parallel.status().ToString());
@@ -199,40 +199,6 @@ TEST_F(GridConcurrencyTest, ConfigErrorAbortsIdenticallyAcrossJobs) {
 TEST_F(GridConcurrencyTest, GridOptionsHashIgnoresJobs) {
   // Checkpoints written at any parallelism must resume at any other.
   EXPECT_EQ(GridOptionsHash(TinyGrid(1)), GridOptionsHash(TinyGrid(8)));
-}
-
-TEST(ArtifactStoreTest, ComputesOncePerKeyAndLooksUp) {
-  ArtifactStore<int> store;
-  int calls = 0;
-  std::shared_ptr<const int> a =
-      store.GetOrCompute("k", [&calls] { return ++calls; });
-  std::shared_ptr<const int> b =
-      store.GetOrCompute("k", [&calls] { return ++calls; });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(*a, 1);
-  ASSERT_NE(store.Lookup("k"), nullptr);
-  EXPECT_EQ(store.Lookup("missing"), nullptr);
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(ArtifactStoreTest, ConcurrentGetOrComputeRunsMakeOnce) {
-  ArtifactStore<int> store;
-  std::atomic<int> calls{0};
-  ThreadPool pool(8);
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&store, &calls] {
-      std::shared_ptr<const int> value = store.GetOrCompute("shared", [&calls] {
-        // Widen the race window: every caller must still see one compute.
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return calls.fetch_add(1, std::memory_order_relaxed) + 41;
-      });
-      EXPECT_EQ(*value, 41);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(store.size(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "eval/report.h"
 
 namespace lossyts::eval {
@@ -92,6 +93,55 @@ TEST(GridTest, UnknownDatasetFails) {
   GridOptions options = TinyGrid();
   options.datasets = {"NoSuchDataset"};
   EXPECT_FALSE(RunGrid(options).ok());
+}
+
+TEST(GridTest, UnknownModelIsReportedBeforeAnyDatasetLoads) {
+  GridOptions options = TinyGrid();
+  options.datasets = {"NoSuchDataset"};
+  options.models = {"GBoost", "NoSuchModel"};
+  Result<std::vector<GridRecord>> records = RunGrid(options);
+  ASSERT_FALSE(records.ok());
+  EXPECT_EQ(records.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(records.status().message().find("NoSuchModel"), std::string::npos)
+      << records.status().ToString();
+}
+
+// A repeated entry would emit cells with one CellKey, so it is rejected
+// before any work is scheduled: the armed (never firing) compress site
+// counts no transform.
+TEST(GridTest, RepeatedListEntryIsInvalidArgument) {
+  struct Case {
+    const char* list;
+    void (*repeat)(GridOptions&);
+    const char* value;
+  };
+  const Case cases[] = {
+      {"datasets", [](GridOptions& o) { o.datasets = {"ETTm1", "ETTm1"}; },
+       "ETTm1"},
+      {"models",
+       [](GridOptions& o) { o.models = {"GBoost", "DLinear", "GBoost"}; },
+       "GBoost"},
+      {"compressors", [](GridOptions& o) { o.compressors = {"PMC", "PMC"}; },
+       "PMC"},
+      {"error_bounds",
+       [](GridOptions& o) { o.error_bounds = {0.05, 0.4, 0.05}; },
+       "0.050000000000000003"},
+      {"seeds", [](GridOptions& o) { o.seeds = {1, 1}; }, "1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.list);
+    GridOptions options = TinyGrid();
+    c.repeat(options);
+    FailPoints::Arm("compress", 1000000000, 1);
+    Result<std::vector<GridRecord>> records = RunGrid(options);
+    const uint64_t transforms = FailPoints::HitCount("compress");
+    FailPoints::DisarmAll();
+    ASSERT_FALSE(records.ok());
+    EXPECT_EQ(records.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(records.status().message(),
+              std::string("grid option '") + c.list + "' repeats " + c.value);
+    EXPECT_EQ(transforms, 0u);
+  }
 }
 
 TEST(ReportTest, TableAlignsColumns) {

@@ -464,7 +464,7 @@ run_v3
 ASAN_OPTIONS=detect_leaks=0 run_config asan address
 UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
-# reporter, the artifact store, the parallel-vs-sequential grid tests, and
+# reporter, the parallel-vs-sequential grid tests, and
 # the serve-daemon/store reader-vs-writer races, the per-series stream
 # state that shards advance under their mutex, the drift-corpus streams run
 # on one and on two threads, the process-wide raw-size
@@ -474,6 +474,6 @@ UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # every cross-thread edge, and a full TSan run of the NN training tests
 # would dominate CI time without touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|OrderedPipelineTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|DriftCorpusTest|PipelineConcurrencyTest|ForecastConcurrencyTest|QueryTest|QueryGoldenTest|QueryPrecedenceTest'
+  'ThreadPoolTest|OrderedPipelineTest|ProgressTest|SeedTest|GridConcurrencyTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|StreamServeTest|DriftCorpusTest|PipelineConcurrencyTest|ForecastConcurrencyTest|QueryTest|QueryGoldenTest|QueryPrecedenceTest'
 
 echo "=== ci.sh: all configurations passed ==="
