@@ -5,35 +5,32 @@
 
 namespace lossyts::oracles {
 
-Result<int> ReferenceHuffmanDecode(std::span<const int> lengths,
-                                   zip::BitReader& reader) {
-  constexpr int kMaxBits = 15;
-  // Step 1: count the codes of each length.
-  uint32_t bl_count[kMaxBits + 1] = {};
-  int max_length = 0;
-  for (int l : lengths) {
+ReferenceHuffmanCode::ReferenceHuffmanCode(std::span<const int> lengths) {
+  // Step 1: count the codes of each length, keeping each length's symbols
+  // in symbol order.
+  for (size_t s = 0; s < lengths.size(); ++s) {
+    const int l = lengths[s];
     if (l == 0) continue;
-    ++bl_count[l];
-    max_length = std::max(max_length, l);
+    symbols_[l].push_back(static_cast<int>(s));
+    max_length_ = std::max(max_length_, l);
   }
-  // Step 2: the smallest code of each length.
-  uint32_t next_code[kMaxBits + 1] = {};
+  // Step 2: the smallest code of each length (no symbol has length 0).
   uint32_t code = 0;
   for (int bits = 1; bits <= kMaxBits; ++bits) {
-    code = (code + bl_count[bits - 1]) << 1;
-    next_code[bits] = code;
+    const uint32_t bl_count = static_cast<uint32_t>(symbols_[bits - 1].size());
+    code = (code + bl_count) << 1;
+    next_code_[bits] = code;
   }
-  // Step 3 assigns consecutive codes of one length in symbol order, so the
-  // k-th symbol of length l has code next_code[l] + k.
+}
+
+Result<int> ReferenceHuffmanCode::Decode(zip::BitReader& reader) const {
   uint32_t read = 0;
-  for (int l = 1; l <= max_length; ++l) {
+  for (int l = 1; l <= max_length_; ++l) {
     Result<uint32_t> bit = reader.ReadBit();
     if (!bit.ok()) return bit.status();
     read = (read << 1) | *bit;
-    if (read < next_code[l] || read - next_code[l] >= bl_count[l]) continue;
-    uint32_t k = read - next_code[l];
-    for (size_t s = 0; s < lengths.size(); ++s) {
-      if (lengths[s] == l && k-- == 0) return static_cast<int>(s);
+    if (read >= next_code_[l] && read - next_code_[l] < symbols_[l].size()) {
+      return symbols_[l][read - next_code_[l]];
     }
   }
   return Status::Corruption("invalid Huffman code in stream");

@@ -173,11 +173,12 @@ TEST(HuffmanTest, LutDecodeMatchesReferenceOnDeepCodes) {
   for (int s : message) writer.WriteHuffmanCode(codes[s], (*lengths)[s]);
   std::vector<uint8_t> bytes = writer.Finish();
 
+  const oracles::ReferenceHuffmanCode reference(*lengths);
   BitReader lut_reader(bytes);
   BitReader ref_reader(bytes);
   for (int expected : message) {
     Result<int> a = decoder.Decode(lut_reader);
-    Result<int> b = oracles::ReferenceHuffmanDecode(*lengths, ref_reader);
+    Result<int> b = reference.Decode(ref_reader);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(*a, expected);
@@ -194,6 +195,7 @@ TEST(HuffmanTest, LutDecodeMatchesReferenceOnGarbageStreams) {
   ASSERT_TRUE(lengths.ok());
   HuffmanDecoder decoder;
   ASSERT_TRUE(decoder.Init(*lengths).ok());
+  const oracles::ReferenceHuffmanCode reference(*lengths);
 
   Rng rng(777);
   for (int trial = 0; trial < 100; ++trial) {
@@ -203,7 +205,7 @@ TEST(HuffmanTest, LutDecodeMatchesReferenceOnGarbageStreams) {
     BitReader ref_reader(bytes);
     for (int step = 0; step < 200; ++step) {
       Result<int> a = decoder.Decode(lut_reader);
-      Result<int> b = oracles::ReferenceHuffmanDecode(*lengths, ref_reader);
+      Result<int> b = reference.Decode(ref_reader);
       ASSERT_EQ(a.ok(), b.ok()) << "trial " << trial << " step " << step;
       if (!a.ok()) {
         ASSERT_EQ(a.status().code(), b.status().code())
@@ -245,7 +247,7 @@ TEST(HuffmanTest, TruncatedStreamIsOutOfRangeCorruptPrefixIsCorruption) {
     BitReader lut_reader({});
     BitReader ref_reader({});
     Result<int> a = decoder.Decode(lut_reader);
-    Result<int> b = oracles::ReferenceHuffmanDecode(lengths, ref_reader);
+    Result<int> b = oracles::ReferenceHuffmanCode(lengths).Decode(ref_reader);
     ASSERT_FALSE(a.ok());
     ASSERT_FALSE(b.ok());
     EXPECT_EQ(a.status().code(), b.status().code());
@@ -429,6 +431,7 @@ TEST(HuffmanTest, PairBuildMatchesDenseBuild) {
     }
 
     // Garbage: the two builds and the bit walk agree step by step.
+    const oracles::ReferenceHuffmanCode reference(dense_lengths);
     for (int g = 0; g < 4; ++g) {
       std::vector<uint8_t> garbage(rng.UniformInt(48));
       for (auto& byte : garbage) byte = static_cast<uint8_t>(rng.UniformInt(256));
@@ -438,7 +441,7 @@ TEST(HuffmanTest, PairBuildMatchesDenseBuild) {
       for (int step = 0; step < 400; ++step) {
         Result<int> x = dense.Decode(r_dense);
         Result<int> y = sparse.Decode(r_sparse);
-        Result<int> z = oracles::ReferenceHuffmanDecode(dense_lengths, r_ref);
+        Result<int> z = reference.Decode(r_ref);
         ASSERT_EQ(x.ok(), y.ok()) << "trial " << trial << " step " << step;
         ASSERT_EQ(x.ok(), z.ok()) << "trial " << trial << " step " << step;
         if (!x.ok()) {
@@ -486,12 +489,12 @@ struct DecodeTrace {
 enum class DecodePath { kDecode, kReference, kMany, kManyPieces };
 
 // Decodes up to `count` symbols of `bytes` along `path`, stopping at the
-// first failure; kReference decodes with the oracle over `lengths`, the
-// code `decoder` was built from. kManyPieces splits the count into
+// first failure; kReference decodes with `reference`, the oracle built from
+// the lengths `decoder` was built from. kManyPieces splits the count into
 // random-sized DecodeMany calls; the many paths also check that nothing past
 // the failing symbol was written.
 DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
-                        const std::vector<int>& lengths,
+                        const oracles::ReferenceHuffmanCode& reference,
                         const std::vector<uint8_t>& bytes, size_t count,
                         DecodePath path, Rng& rng) {
   DecodeTrace trace;
@@ -500,7 +503,7 @@ DecodeTrace TraceDecode(const HuffmanDecoder& decoder,
     for (size_t i = 0; i < count; ++i) {
       Result<int> sym = path == DecodePath::kDecode
                             ? decoder.Decode(reader)
-                            : oracles::ReferenceHuffmanDecode(lengths, reader);
+                            : reference.Decode(reader);
       if (!sym.ok()) {
         trace.status = sym.status().ToString();
         break;
@@ -583,6 +586,7 @@ TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
 
     const std::vector<int> lengths = DenseFromPairs(code, alphabet);
     const std::vector<uint32_t> codes = CanonicalCodes(lengths);
+    const oracles::ReferenceHuffmanCode reference(lengths);
     const size_t message_size = rng.UniformInt(300);
     BitWriter writer;
     for (size_t i = 0; i < message_size; ++i) {
@@ -604,13 +608,13 @@ TEST(HuffmanTest, DecodeManyMatchesDecodeAndReference) {
          {&clean, &truncated, &flipped, &garbage}) {
       // Past the message, so every stream ends in a failure.
       const size_t count = message_size + 1 + rng.UniformInt(20);
-      const DecodeTrace expected = TraceDecode(decoder, lengths, *bytes, count,
-                                               DecodePath::kReference, rng);
+      const DecodeTrace expected = TraceDecode(
+          decoder, reference, *bytes, count, DecodePath::kReference, rng);
       if (expected.status != "OK") ++failures;
       for (DecodePath path : {DecodePath::kDecode, DecodePath::kMany,
                               DecodePath::kManyPieces}) {
         const DecodeTrace got =
-            TraceDecode(decoder, lengths, *bytes, count, path, rng);
+            TraceDecode(decoder, reference, *bytes, count, path, rng);
         ASSERT_TRUE(got == expected)
             << "trial " << trial << " path " << static_cast<int>(path)
             << ": " << got.status << " after " << got.symbols.size()
