@@ -47,6 +47,32 @@ inline eval::SweepOptions DefaultSweepOptions() {
   return options;
 }
 
+// --- Flag parsing ------------------------------------------------------
+
+/// Value of the first `flag N` pair on the command line, or `fallback` when
+/// `flag` is absent. A missing value, one that is not a decimal integer, a
+/// negative one or one past INT_MAX prints a usage line naming the flag and
+/// exits with status 2.
+inline int ParseIntFlag(int argc, char** argv, const char* flag,
+                        int fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value > INT_MAX) {
+      std::fprintf(stderr,
+                   "usage: %s %s <non-negative integer> (got '%s')\n",
+                   argv[0], flag, text);
+      std::exit(2);
+    }
+    return static_cast<int>(value);
+  }
+  return fallback;
+}
+
 /// Cache flags shared by every grid-consuming bench:
 ///   --resume        salvage and resume a partial grid checkpoint (default)
 ///   --fresh         delete the checkpoint and recompute from scratch
@@ -68,10 +94,9 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv) {
       flags.fresh = false;
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
       flags.cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      flags.jobs = std::atoi(argv[++i]);
     }
   }
+  flags.jobs = ParseIntFlag(argc, argv, "--jobs", flags.jobs);
   return flags;
 }
 
@@ -264,32 +289,6 @@ inline double MeanDetectionDelay(const std::vector<size_t>& alarms,
   }
   if (detected != nullptr) *detected = hits;
   return hits == 0 ? -1.0 : total / static_cast<double>(hits);
-}
-
-// --- Flag parsing ------------------------------------------------------
-
-/// Value of the first `flag N` pair on the command line, or `fallback` when
-/// `flag` is absent. A missing value, one that is not a decimal integer, a
-/// negative one or one past INT_MAX prints a usage line naming the flag and
-/// exits with status 2.
-inline int ParseIntFlag(int argc, char** argv, const char* flag,
-                        int fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    const char* text = i + 1 < argc ? argv[i + 1] : "";
-    char* end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-        errno == ERANGE || value > INT_MAX) {
-      std::fprintf(stderr,
-                   "usage: %s %s <non-negative integer> (got '%s')\n",
-                   argv[0], flag, text);
-      std::exit(2);
-    }
-    return static_cast<int>(value);
-  }
-  return fallback;
 }
 
 }  // namespace lossyts::bench
